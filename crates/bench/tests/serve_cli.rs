@@ -133,23 +133,31 @@ fn journal_done_records(state: &Path) -> usize {
         .sum()
 }
 
+/// A raw client connection plus the bytes read past the last answer
+/// returned, so answers that arrive in one read chunk are all kept.
+struct LineConn {
+    stream: UnixStream,
+    buf: Vec<u8>,
+}
+
 /// Reads one newline-terminated answer off a raw connection.
-fn read_line(stream: &mut UnixStream, within: Duration) -> Option<String> {
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(50)));
+fn read_line(conn: &mut LineConn, within: Duration) -> Option<String> {
+    let _ = conn
+        .stream
+        .set_read_timeout(Some(Duration::from_millis(50)));
     let deadline = Instant::now() + within;
-    let mut buf: Vec<u8> = Vec::new();
     let mut chunk = [0u8; 4096];
     loop {
-        if let Some(nl) = buf.iter().position(|b| *b == b'\n') {
-            let line: Vec<u8> = buf.drain(..=nl).collect();
+        if let Some(nl) = conn.buf.iter().position(|b| *b == b'\n') {
+            let line: Vec<u8> = conn.buf.drain(..=nl).collect();
             return Some(String::from_utf8_lossy(&line[..line.len() - 1]).to_string());
         }
         if Instant::now() >= deadline {
             return None;
         }
-        match stream.read(&mut chunk) {
+        match conn.stream.read(&mut chunk) {
             Ok(0) => return None,
-            Ok(n) => buf.extend_from_slice(&chunk[..n]),
+            Ok(n) => conn.buf.extend_from_slice(&chunk[..n]),
             Err(e)
                 if e.kind() == std::io::ErrorKind::WouldBlock
                     || e.kind() == std::io::ErrorKind::TimedOut => {}
@@ -293,14 +301,18 @@ fn malformed_requests_draw_typed_rejections_and_spare_the_connection() {
     let daemon = spawn_daemon(&socket, &state, &[]);
     wait_for_socket(&socket);
 
-    let mut conn = UnixStream::connect(&socket).expect("connect");
+    let mut conn = LineConn {
+        stream: UnixStream::connect(&socket).expect("connect"),
+        buf: Vec::new(),
+    };
     for (line, reason) in [
         ("truncated json {\"op\":", "malformed"),
         ("{\"op\":\"submit\",\"scenarios\":[]}", "empty-batch"),
         ("{\"op\":\"submit\",\"scenarios\":[1,2]}", "malformed"),
         ("{\"op\":\"ping\",\"surprise\":true}", "malformed"),
     ] {
-        conn.write_all(format!("{line}\n").as_bytes())
+        conn.stream
+            .write_all(format!("{line}\n").as_bytes())
             .expect("send malformed request");
         let answer = read_line(&mut conn, Duration::from_secs(5))
             .unwrap_or_else(|| panic!("no answer to {line:?}"));
@@ -321,7 +333,8 @@ fn malformed_requests_draw_typed_rejections_and_spare_the_connection() {
             ..Default::default()
         },
     );
-    conn.write_all(format!("{zero_budget}\n").as_bytes())
+    conn.stream
+        .write_all(format!("{zero_budget}\n").as_bytes())
         .expect("send zero-budget submit");
     let answer = read_line(&mut conn, Duration::from_secs(5)).expect("bad-budget answer");
     assert!(
@@ -336,7 +349,8 @@ fn malformed_requests_draw_typed_rejections_and_spare_the_connection() {
         &demo_scenarios(60, 1, 200),
         &bl_served::SubmitOptions::default(),
     );
-    conn.write_all(format!("{batch}\n").as_bytes())
+    conn.stream
+        .write_all(format!("{batch}\n").as_bytes())
         .expect("send valid submit");
     let answer = read_line(&mut conn, Duration::from_secs(10)).expect("admission answer");
     assert!(

@@ -433,7 +433,7 @@ impl Scenario {
     ///
     /// Everything [`Scenario::run_with_budget`] reports, plus
     /// [`SimError::SnapshotUnsupported`] when the snapshot cannot be
-    /// forked.
+    /// restored.
     pub fn run_forked(
         &self,
         snapshot: &SimSnapshot,

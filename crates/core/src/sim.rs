@@ -3,10 +3,10 @@
 use crate::config::SystemConfig;
 use crate::options::SimOptions;
 use crate::result::{ResilienceStats, RunResult};
-use bl_governor::{ClusterSample, CpufreqGovernor, GovernorConfig, GovernorState};
+use bl_governor::{ClusterSample, CpufreqGovernor, GovernorConfig};
 use bl_kernel::accounting::BusyWindow;
 use bl_kernel::kernel::{Hw, Kernel, KernelConfig, KernelSaved, WakeRequest};
-use bl_kernel::task::{Affinity, AppSignal, ForkCtx, RestoreCtx, SaveCtx, TaskBehavior, TaskId};
+use bl_kernel::task::{Affinity, AppSignal, RestoreCtx, SaveCtx, TaskBehavior, TaskId};
 use bl_metrics::{MetricsCollector, MetricsSaved, Trace, TraceRow};
 use bl_platform::exynos::exynos5422;
 use bl_platform::ids::{ClusterId, CoreKind, CpuId};
@@ -46,7 +46,7 @@ enum Ev {
 /// Runtime state of the thermal subsystem: one RC node per cluster,
 /// stored structure-of-arrays in a [`ThermalBank`] so the per-sample
 /// integration is one batch pass over contiguous state.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct ThermalRt {
     nodes: ThermalBank,
     /// When the nodes were last advanced (temperature integrates between
@@ -123,7 +123,7 @@ impl ThermalRt {
 }
 
 /// Runtime state of the cpuidle subsystem.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct CpuidleRt {
     /// Idle-state table per CPU (indexed by cpu id).
     tables: Vec<CpuidleTable>,
@@ -1267,35 +1267,37 @@ impl Simulation {
     /// [`Simulation::fork`] can later turn back into any number of
     /// independent, bit-identical continuations.
     ///
-    /// The snapshot is a deep copy: every task behavior, shared workload
-    /// handle (job queues, completion trackers, scene synchronizers),
-    /// governor, pending event (with its tie-breaking sequence number) and
-    /// RNG stream is duplicated, so forks never observe each other or the
-    /// original. The armed execution budget is *not* captured — budgets
-    /// are per-run; arm one on the fork with [`Simulation::set_budget`].
+    /// The snapshot holds the run's saved state: every task behavior,
+    /// shared workload handle (job queues, completion trackers, scene
+    /// synchronizers), governor, pending event (with its tie-breaking
+    /// sequence number) and RNG stream as plain data, so forks never
+    /// observe each other or the original. The armed execution budget is
+    /// *not* captured — budgets are per-run; arm one on the fork with
+    /// [`Simulation::set_budget`].
     ///
     /// # Errors
     ///
-    /// [`SimError::SnapshotUnsupported`] when some live state cannot be
-    /// duplicated: a task driven by a closure (only structured behaviors
-    /// implement `fork_box`) or a governor without `box_clone`.
+    /// [`SimError::SnapshotUnsupported`] when a task is driven by a
+    /// closure (only structured behaviors implement `save_box`).
     pub fn snapshot(&self) -> Result<SimSnapshot, SimError> {
         Ok(SimSnapshot {
+            platform: self.platform.clone(),
+            saved: self.state_save()?,
             fingerprint: self.fingerprint(),
-            sim: self.clone_state()?,
         })
     }
 
-    /// Builds a fresh simulation resuming from `snapshot`. Running the
-    /// fork produces bit-identical results to running the original from
-    /// the snapshot point — every fork of the same snapshot, too.
+    /// Builds a fresh simulation resuming from `snapshot` by restoring its
+    /// saved state. Running the fork produces bit-identical results to
+    /// running the original from the snapshot point — every fork of the
+    /// same snapshot, too.
     ///
     /// # Errors
     ///
-    /// Same conditions as [`Simulation::snapshot`] (the stored state is
-    /// deep-copied again, once per fork).
+    /// [`SimError::SnapshotUnsupported`] when the saved state does not fit
+    /// the snapshot's platform or names an unknown behavior.
     pub fn fork(snapshot: &SimSnapshot) -> Result<Simulation, SimError> {
-        snapshot.sim.clone_state()
+        Simulation::state_restore(&snapshot.platform, &snapshot.saved)
     }
 
     /// FNV-1a digest of the run's deterministic identity: simulated time,
@@ -1333,66 +1335,6 @@ impl Simulation {
         fnv1a(&bytes)
     }
 
-    /// The deep copy behind [`Simulation::snapshot`] / [`Simulation::fork`].
-    fn clone_state(&self) -> Result<Simulation, SimError> {
-        // One fork context spans the kernel *and* the driver's tracker
-        // list, so a tracker shared between a task behavior and
-        // `self.trackers` stays shared inside the fork (and only there).
-        let mut ctx = ForkCtx::new();
-        let kernel = self.kernel.fork(&mut ctx)?;
-        let trackers = self
-            .trackers
-            .iter()
-            .map(|t| t.fork_with(&mut ctx))
-            .collect();
-        let governors = self
-            .governors
-            .iter()
-            .enumerate()
-            .map(|(i, g)| {
-                g.box_clone().ok_or_else(|| SimError::SnapshotUnsupported {
-                    detail: format!("governor on cluster {i} does not support box_clone"),
-                })
-            })
-            .collect::<Result<Vec<_>, SimError>>()?;
-        let n_clusters = self.platform.topology.n_clusters();
-        let n_cpus = self.platform.topology.n_cpus();
-        Ok(Simulation {
-            platform: self.platform.clone(),
-            state: self.state.clone(),
-            kernel,
-            governors,
-            gov_window: self.gov_window.clone(),
-            power_model: self.power_model,
-            meter: self.meter.clone(),
-            collector: self.collector.clone(),
-            queue: self.queue.clone(),
-            now: self.now,
-            rng: self.rng.clone(),
-            trackers,
-            cfg: self.cfg.clone(),
-            trace: self.trace.clone(),
-            trace_window: self.trace_window.clone(),
-            cpuidle: self.cpuidle.clone(),
-            thermal: self.thermal.clone(),
-            gov_skip: self.gov_skip.clone(),
-            watchdog: self.watchdog,
-            // Budgets are per-run: forks start unbudgeted. The lifetime
-            // event counter carries over so forked == cold totals.
-            budget: ArmedBudget::default(),
-            events_total: self.events_total,
-            audit: self.audit.clone(),
-            resilience: self.resilience.clone(),
-            skip_stash: Vec::new(),
-            gov_fired: vec![None; n_clusters],
-            activity_scratch: Vec::with_capacity(n_cpus),
-            leak_scratch: Vec::with_capacity(n_cpus),
-            utils_scratch: Vec::with_capacity(n_cpus),
-            wake_scratch: Vec::new(),
-            signal_scratch: Vec::new(),
-        })
-    }
-
     /// Serializes the entire dynamic state behind [`Simulation::snapshot`]
     /// into a [`SimSaved`], spanning the kernel (tasks, behaviors, loads,
     /// runqueues), governors, event queue, RNG stream, meters, collectors
@@ -1401,8 +1343,8 @@ impl Simulation {
     /// config on restore.
     fn state_save(&self) -> Result<SimSaved, SimError> {
         // One save context spans the kernel and the driver's tracker list,
-        // mirroring `clone_state`'s ForkCtx, so shared workload handles
-        // keep their sharing topology through the serialized form.
+        // so a tracker shared between a task behavior and `self.trackers`
+        // stays shared inside each restored copy (and only there).
         let mut ctx = SaveCtx::new();
         let kernel = self.kernel.state_save(&mut ctx)?;
         let trackers = self
@@ -1410,16 +1352,7 @@ impl Simulation {
             .iter()
             .map(|t| t.save_with(&mut ctx))
             .collect();
-        let governors = self
-            .governors
-            .iter()
-            .enumerate()
-            .map(|(i, g)| {
-                g.state_save().ok_or_else(|| SimError::SnapshotUnsupported {
-                    detail: format!("governor on cluster {i} does not support state_save"),
-                })
-            })
-            .collect::<Result<Vec<_>, SimError>>()?;
+        let governors = self.governors.iter().map(|g| g.config()).collect();
         let queue = self
             .queue
             .sorted_entries()
@@ -1453,7 +1386,8 @@ impl Simulation {
 
     /// Rebuilds a simulation from [`SimSaved`] against `platform` — the
     /// platform the saved run was built on. The armed budget is not
-    /// restored (budgets are per-run), matching `clone_state`.
+    /// restored (budgets are per-run); the lifetime event counter is, so
+    /// forked == cold totals.
     fn state_restore(platform: &Platform, saved: &SimSaved) -> Result<Simulation, SimError> {
         let n_clusters = platform.topology.n_clusters();
         let n_cpus = platform.topology.n_cpus();
@@ -1474,7 +1408,7 @@ impl Simulation {
             .iter()
             .map(|t| CompletionTracker::restore_from(t, &mut ctx))
             .collect();
-        let governors = saved.governors.iter().map(GovernorState::restore).collect();
+        let governors = saved.governors.iter().map(GovernorConfig::build).collect();
         let power_model = if saved.cfg.screen_on {
             PowerModel::screen_on()
         } else {
@@ -1591,7 +1525,7 @@ impl Simulation {
     }
 }
 
-/// A point-in-time deep copy of a running [`Simulation`], produced by
+/// A point-in-time capture of a running [`Simulation`], produced by
 /// [`Simulation::snapshot`] and consumed (any number of times) by
 /// [`Simulation::fork`].
 ///
@@ -1600,26 +1534,28 @@ impl Simulation {
 /// fork from one snapshot instead of each replaying the prefix; the forks
 /// are bit-identical to cold runs (proven by the snapshot test suite).
 ///
-/// Snapshots hold task-local shared state (`Rc` workload handles), so they
-/// are deliberately `!Send`: a snapshot is built and consumed on one worker
-/// thread. The [`SimSnapshot::fingerprint`] is the portable half — a stable
-/// digest of the captured state that result keys and journals can carry
+/// The snapshot holds the platform and the run's saved state as plain
+/// data — the same value the persistent snapshot store writes to disk
+/// ([`SimSnapshot::to_payload`]) — so an in-memory fork and a hydrated one
+/// take one restore path. The [`SimSnapshot::fingerprint`] is a stable
+/// digest of the captured state that result keys and journals carry
 /// across threads and processes.
 pub struct SimSnapshot {
-    sim: Simulation,
+    platform: Platform,
+    saved: SimSaved,
     fingerprint: u64,
 }
 
-/// The serialized form of a [`SimSnapshot`]: every dynamic component of the
-/// run, behaviors included, as plain data. Produced by
-/// [`SimSnapshot::to_payload`] and consumed by [`SimSnapshot::from_payload`];
-/// the persistent snapshot store treats it as an opaque value.
+/// The saved state a [`SimSnapshot`] holds: every dynamic component of the
+/// run, behaviors included, as plain data. [`SimSnapshot::to_payload`]
+/// serializes it and [`SimSnapshot::from_payload`] reads it back; the
+/// persistent snapshot store treats it as an opaque value.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 struct SimSaved {
     cfg: SystemConfig,
     state: PlatformState,
     kernel: KernelSaved,
-    governors: Vec<GovernorState>,
+    governors: Vec<GovernorConfig>,
     gov_window: BusyWindow,
     meter: PowerMeter,
     collector: MetricsSaved,
@@ -1647,31 +1583,31 @@ impl SimSnapshot {
 
     /// The simulated time the snapshot was taken at.
     pub fn at(&self) -> SimTime {
-        self.sim.now()
+        self.saved.now
     }
 
-    /// Serializes the snapshot into an opaque payload the persistent
-    /// snapshot store can write to disk. The inverse is
+    /// Serializes the snapshot's saved state into an opaque payload the
+    /// persistent snapshot store can write to disk. The inverse is
     /// [`SimSnapshot::from_payload`].
     ///
     /// # Errors
     ///
-    /// [`SimError::SnapshotUnsupported`] when some captured component has
-    /// no serialized form (a closure-driven task, a governor without
-    /// `state_save`) — the same states that cannot be forked.
+    /// Never fails: a snapshot holds only plain data. The `Result` keeps
+    /// the signature its callers already handle.
     pub fn to_payload(&self) -> Result<serde::Value, SimError> {
-        Ok(self.sim.state_save()?.ser_value())
+        Ok(self.saved.ser_value())
     }
 
     /// Rebuilds a snapshot from a payload produced by
     /// [`SimSnapshot::to_payload`], against the same platform the saved
     /// run was built on.
     ///
-    /// The restored state's fingerprint is recomputed from scratch and
-    /// must equal `expect` — the digest the store recorded at publish
-    /// time. Bytes are never trusted: a payload that deserializes cleanly
-    /// but reconstructs a different state is rejected, and the caller
-    /// falls back to cold simulation.
+    /// The payload is restored once and the restored state's fingerprint
+    /// is recomputed from scratch; it must equal `expect` — the digest the
+    /// store recorded at publish time. Bytes are never trusted: a payload
+    /// that deserializes cleanly but reconstructs a different state is
+    /// rejected, and the caller falls back to cold simulation. The
+    /// snapshot then keeps the deserialized state; each fork restores it.
     ///
     /// # Errors
     ///
@@ -1685,8 +1621,7 @@ impl SimSnapshot {
         let saved = SimSaved::deser_value(payload).map_err(|e| SimError::SnapshotUnsupported {
             detail: format!("malformed snapshot payload: {e}"),
         })?;
-        let sim = Simulation::state_restore(platform, &saved)?;
-        let fingerprint = sim.fingerprint();
+        let fingerprint = Simulation::state_restore(platform, &saved)?.fingerprint();
         if fingerprint != expect {
             return Err(SimError::SnapshotUnsupported {
                 detail: format!(
@@ -1695,7 +1630,11 @@ impl SimSnapshot {
                 ),
             });
         }
-        Ok(SimSnapshot { sim, fingerprint })
+        Ok(SimSnapshot {
+            platform: platform.clone(),
+            saved,
+            fingerprint,
+        })
     }
 }
 

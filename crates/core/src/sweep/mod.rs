@@ -912,10 +912,10 @@ pub(crate) fn supervise(
 
 /// Executes one attempt with panic isolation, overriding the seed for
 /// retries. With a prefix snapshot available the attempt forks it instead
-/// of replaying the warm-up; [`SimError::SnapshotUnsupported`] (some live
-/// state refused to be duplicated) falls straight back to a cold run
-/// *within the same attempt* — a fork refusal is an implementation limit,
-/// not evidence about the scenario. Returns the outcome and whether the
+/// of replaying the warm-up; [`SimError::SnapshotUnsupported`] (the saved
+/// state refused to restore) falls straight back to a cold run *within
+/// the same attempt* — a fork refusal is an implementation limit, not
+/// evidence about the scenario. Returns the outcome and whether the
 /// result actually came from a fork.
 fn run_attempt(
     index: usize,

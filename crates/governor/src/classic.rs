@@ -1,6 +1,6 @@
 //! Classic Linux cpufreq governors, used as baselines.
 
-use crate::config::GovernorState;
+use crate::config::GovernorConfig;
 use crate::sample::{ClusterSample, CpufreqGovernor};
 use bl_simcore::time::SimDuration;
 use serde::{Deserialize, Serialize};
@@ -26,11 +26,8 @@ impl CpufreqGovernor for PerformanceGovernor {
         let mut probe = *self;
         probe.on_sample(sample) == sample.cur_freq_khz
     }
-    fn box_clone(&self) -> Option<Box<dyn CpufreqGovernor>> {
-        Some(Box::new(*self))
-    }
-    fn state_save(&self) -> Option<GovernorState> {
-        Some(GovernorState::Performance)
+    fn config(&self) -> GovernorConfig {
+        GovernorConfig::Performance
     }
 }
 
@@ -54,11 +51,8 @@ impl CpufreqGovernor for PowersaveGovernor {
         let mut probe = *self;
         probe.on_sample(sample) == sample.cur_freq_khz
     }
-    fn box_clone(&self) -> Option<Box<dyn CpufreqGovernor>> {
-        Some(Box::new(*self))
-    }
-    fn state_save(&self) -> Option<GovernorState> {
-        Some(GovernorState::Powersave)
+    fn config(&self) -> GovernorConfig {
+        GovernorConfig::Powersave
     }
 }
 
@@ -86,11 +80,8 @@ impl CpufreqGovernor for UserspaceGovernor {
         let mut probe = *self;
         probe.on_sample(sample) == sample.cur_freq_khz
     }
-    fn box_clone(&self) -> Option<Box<dyn CpufreqGovernor>> {
-        Some(Box::new(*self))
-    }
-    fn state_save(&self) -> Option<GovernorState> {
-        Some(GovernorState::Userspace(self.setpoint_khz))
+    fn config(&self) -> GovernorConfig {
+        GovernorConfig::Userspace(self.setpoint_khz)
     }
 }
 
@@ -145,11 +136,8 @@ impl CpufreqGovernor for OndemandGovernor {
         let mut probe = *self;
         probe.on_sample(sample) == sample.cur_freq_khz
     }
-    fn box_clone(&self) -> Option<Box<dyn CpufreqGovernor>> {
-        Some(Box::new(*self))
-    }
-    fn state_save(&self) -> Option<GovernorState> {
-        Some(GovernorState::Ondemand(self.params))
+    fn config(&self) -> GovernorConfig {
+        GovernorConfig::Ondemand(self.params)
     }
 }
 
@@ -208,11 +196,8 @@ impl CpufreqGovernor for ConservativeGovernor {
         let mut probe = *self;
         probe.on_sample(sample) == sample.cur_freq_khz
     }
-    fn box_clone(&self) -> Option<Box<dyn CpufreqGovernor>> {
-        Some(Box::new(*self))
-    }
-    fn state_save(&self) -> Option<GovernorState> {
-        Some(GovernorState::Conservative(self.params))
+    fn config(&self) -> GovernorConfig {
+        GovernorConfig::Conservative(self.params)
     }
 }
 

@@ -10,6 +10,11 @@ use serde::{Deserialize, Serialize};
 
 /// Declarative governor choice, turned into a per-cluster instance with
 /// [`GovernorConfig::build`].
+///
+/// It is also a live governor's whole runtime state: every shipped
+/// governor decides from the sample and its tunables alone, so
+/// [`CpufreqGovernor::config`] captures an instance for a snapshot and
+/// `build` restores it bit-identically.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub enum GovernorConfig {
     /// The platform's default governor (paper Algorithm 2).
@@ -67,49 +72,6 @@ impl Default for GovernorConfig {
     }
 }
 
-/// Serializable runtime state of a governor instance, captured by
-/// [`CpufreqGovernor::state_save`] and turned back into a live governor
-/// with [`GovernorState::restore`].
-///
-/// Every shipped governor is currently parameter-only (its decisions
-/// depend solely on the sample and its tunables), so each variant carries
-/// exactly the construction parameters. The type is distinct from
-/// [`GovernorConfig`] on purpose: a future stateful governor (hispeed
-/// timers, sample history) extends its variant here without disturbing the
-/// declarative config format, and the persisted snapshot format names this
-/// enum, not the config.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub enum GovernorState {
-    /// State of an [`InteractiveGovernor`](crate::interactive::InteractiveGovernor).
-    Interactive(InteractiveParams),
-    /// State of an [`OndemandGovernor`](crate::classic::OndemandGovernor).
-    Ondemand(OndemandParams),
-    /// State of a [`ConservativeGovernor`](crate::classic::ConservativeGovernor).
-    Conservative(ConservativeParams),
-    /// State of a [`PerformanceGovernor`](crate::classic::PerformanceGovernor).
-    Performance,
-    /// State of a [`PowersaveGovernor`](crate::classic::PowersaveGovernor).
-    Powersave,
-    /// State of a [`UserspaceGovernor`](crate::classic::UserspaceGovernor)
-    /// (the set-point in kHz).
-    Userspace(u32),
-}
-
-impl GovernorState {
-    /// Rebuilds a live governor from the saved state. The result behaves
-    /// bit-identically to the instance the state was saved from.
-    pub fn restore(&self) -> Box<dyn CpufreqGovernor> {
-        match *self {
-            GovernorState::Interactive(p) => Box::new(InteractiveGovernor::new(p)),
-            GovernorState::Ondemand(p) => Box::new(OndemandGovernor { params: p }),
-            GovernorState::Conservative(p) => Box::new(ConservativeGovernor { params: p }),
-            GovernorState::Performance => Box::new(PerformanceGovernor),
-            GovernorState::Powersave => Box::new(PowersaveGovernor),
-            GovernorState::Userspace(khz) => Box::new(UserspaceGovernor { setpoint_khz: khz }),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -149,17 +111,16 @@ mod tests {
         ];
         for c in configs {
             let g = c.build();
-            let state = g
-                .state_save()
-                .unwrap_or_else(|| panic!("{} must be state-saveable", g.name()));
-            // Survive a JSON round trip, then restore to the same governor.
+            let state = g.config();
+            assert_eq!(state, c);
+            // Survive a JSON round trip, then rebuild the same governor.
             let json = serde_json::to_string(&state).unwrap();
-            let back: GovernorState = serde_json::from_str(&json).unwrap();
+            let back: GovernorConfig = serde_json::from_str(&json).unwrap();
             assert_eq!(back, state);
-            let restored = back.restore();
+            let restored = back.build();
             assert_eq!(restored.name(), g.name());
             assert_eq!(restored.sampling_period(), g.sampling_period());
-            assert_eq!(restored.state_save(), Some(state));
+            assert_eq!(restored.config(), state);
         }
     }
 }

@@ -18,6 +18,7 @@
 //! (paper §VI.C); the parameter sweep of Figures 11–13 varies the sampling
 //! period (60, 100 ms) and target load (60, 80).
 
+use crate::config::GovernorConfig;
 use crate::sample::{ClusterSample, CpufreqGovernor};
 use bl_simcore::time::SimDuration;
 use serde::{Deserialize, Serialize};
@@ -163,12 +164,8 @@ impl CpufreqGovernor for InteractiveGovernor {
         self.clone().on_sample(sample) == sample.cur_freq_khz
     }
 
-    fn box_clone(&self) -> Option<Box<dyn CpufreqGovernor>> {
-        Some(Box::new(self.clone()))
-    }
-
-    fn state_save(&self) -> Option<crate::config::GovernorState> {
-        Some(crate::config::GovernorState::Interactive(self.params))
+    fn config(&self) -> GovernorConfig {
+        GovernorConfig::Interactive(self.params)
     }
 }
 

@@ -37,6 +37,6 @@ pub mod config;
 pub mod interactive;
 pub mod sample;
 
-pub use config::{GovernorConfig, GovernorState};
+pub use config::GovernorConfig;
 pub use interactive::{InteractiveGovernor, InteractiveParams};
 pub use sample::{ClusterSample, CpufreqGovernor};

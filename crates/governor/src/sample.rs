@@ -1,5 +1,6 @@
 //! The governor interface.
 
+use crate::config::GovernorConfig;
 use bl_platform::ids::ClusterId;
 use bl_platform::opp::OppTable;
 use bl_simcore::time::SimDuration;
@@ -74,28 +75,10 @@ pub trait CpufreqGovernor {
         false
     }
 
-    /// Deep-copies this governor *including its accumulated internal state*
-    /// (hispeed timers, sample history) for a forked simulation.
-    ///
-    /// Returning `None` (the default) declares the governor opaque and
-    /// makes simulations using it unsnapshottable. Every governor shipped
-    /// by this crate implements it.
-    fn box_clone(&self) -> Option<Box<dyn CpufreqGovernor>> {
-        None
-    }
-
-    /// Captures this governor's full runtime state as a serializable
-    /// [`GovernorState`](crate::config::GovernorState), the persistent
-    /// counterpart of [`CpufreqGovernor::box_clone`]:
-    /// `state.restore()` must behave bit-identically to the live instance.
-    ///
-    /// Returning `None` (the default) declares the governor opaque to
-    /// persistence; simulations using it cannot be written to the snapshot
-    /// store and fall back to cold runs. Every governor shipped by this
-    /// crate implements it.
-    fn state_save(&self) -> Option<crate::config::GovernorState> {
-        None
-    }
+    /// This governor's whole runtime state, as the config that rebuilds
+    /// it: `self.config().build()` must behave bit-identically to `self`.
+    /// Snapshots store it in place of the live instance.
+    fn config(&self) -> GovernorConfig;
 }
 
 #[cfg(test)]

@@ -7,8 +7,8 @@ use crate::load::{LoadSet, LoadSetSaved, LOAD_SCALE};
 use crate::policy::AsymPolicy;
 use crate::runqueue::RunQueue;
 use crate::task::{
-    Affinity, AppSignal, BehaviorCtx, BehaviorSaved, ForkCtx, RestoreCtx, SaveCtx, Step,
-    TaskBehavior, TaskCb, TaskId, TaskState,
+    Affinity, AppSignal, BehaviorCtx, BehaviorSaved, RestoreCtx, SaveCtx, Step, TaskBehavior,
+    TaskCb, TaskId, TaskState,
 };
 use bl_platform::ids::{CoreKind, CpuId};
 use bl_platform::perf::{Work, WorkProfile};
@@ -1004,74 +1004,17 @@ impl Kernel {
         self.cfg.tick_period
     }
 
-    // ---- snapshot / fork ----------------------------------------------------
-
-    /// Produces an independent deep copy of the whole scheduler state for a
-    /// forked simulation: runqueues, accounting, load averages, pending
-    /// wakes/signals and every live task's behavior.
-    ///
-    /// Behaviors are duplicated through [`TaskBehavior::fork_box`], with
-    /// shared handles (job queues, completion trackers) deduplicated via
-    /// `ctx` so that tasks sharing a queue in the parent share *one* new
-    /// queue in the fork. Exited tasks keep a no-op behavior — their
-    /// original behavior can never run again, so its identity is
-    /// irrelevant to determinism.
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::SnapshotUnsupported`] naming the first live task whose
-    /// behavior declines to fork (ad-hoc closure behaviors).
-    pub fn fork(&self, ctx: &mut ForkCtx) -> Result<Kernel, SimError> {
-        let mut tasks = Vec::with_capacity(self.tasks.len());
-        for (i, t) in self.tasks.iter().enumerate() {
-            let behavior: Box<dyn TaskBehavior> = if t.state == TaskState::Exited {
-                Box::new(NoopBehavior)
-            } else {
-                t.behavior
-                    .fork_box(ctx)
-                    .ok_or_else(|| SimError::SnapshotUnsupported {
-                        detail: format!("task {} ({}) has an opaque behavior", i, t.name),
-                    })?
-            };
-            tasks.push(TaskCb {
-                name: t.name.clone(),
-                state: t.state,
-                behavior,
-                affinity: t.affinity,
-                remaining: t.remaining,
-                profile: t.profile,
-                cpu: t.cpu,
-                last_cpu: t.last_cpu,
-                vruntime: t.vruntime,
-                cpu_time: t.cpu_time,
-                cpu_time_by_kind: t.cpu_time_by_kind,
-            });
-        }
-        Ok(Kernel {
-            cfg: self.cfg,
-            tasks,
-            loads: self.loads.clone(),
-            sleep_seq: self.sleep_seq.clone(),
-            pending_wake_flag: self.pending_wake_flag.clone(),
-            rqs: self.rqs.clone(),
-            acct: self.acct.clone(),
-            last_advance: self.last_advance,
-            wake_requests: self.wake_requests.clone(),
-            signals: self.signals.clone(),
-            pending_wakes: self.pending_wakes.clone(),
-            migrations_up: self.migrations_up,
-            migrations_down: self.migrations_down,
-            balance_scratch: Vec::with_capacity(self.rqs.len()),
-        })
-    }
+    // ---- snapshot save / restore -------------------------------------------
 
     /// Captures the whole scheduler as a serializable [`KernelSaved`] —
-    /// the persistent counterpart of [`Kernel::fork`]: runqueues,
-    /// accounting, load averages, pending wakes/signals and every live
-    /// task's behavior through [`TaskBehavior::save_box`].
+    /// the kernel half of a simulation snapshot: runqueues, accounting,
+    /// load averages, pending wakes/signals and every live task's
+    /// behavior through [`TaskBehavior::save_box`], with shared handles
+    /// (job queues, completion trackers) deduplicated via `ctx`.
     ///
-    /// Exited tasks save no behavior (their original can never run again);
-    /// they restore to a no-op, exactly as [`Kernel::fork`] treats them.
+    /// Exited tasks save no behavior (their original can never run again,
+    /// so its identity is irrelevant to determinism); they restore to a
+    /// no-op.
     ///
     /// # Errors
     ///

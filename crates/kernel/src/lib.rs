@@ -36,6 +36,6 @@ pub use kernel::{Kernel, KernelConfig, KernelSaved, TaskCensus, TaskSaved};
 pub use load::{LoadSet, LoadSetSaved, LoadTracker};
 pub use policy::AsymPolicy;
 pub use task::{
-    Affinity, AppSignal, BehaviorCtx, BehaviorSaved, ForkCtx, RestoreCtx, SaveCtx, Step,
-    TaskBehavior, TaskId, TaskState,
+    Affinity, AppSignal, BehaviorCtx, BehaviorSaved, RestoreCtx, SaveCtx, Step, TaskBehavior,
+    TaskId, TaskState,
 };

@@ -122,52 +122,10 @@ impl<'a> BehaviorCtx<'a> {
     }
 }
 
-/// Deduplication context for forking behaviors that share state through
-/// `Rc` handles (job queues, completion trackers, scene fences).
-///
-/// When a simulation is forked, each shared handle must be cloned **once**
-/// and every behavior that held the original must receive the same new
-/// handle — otherwise a pool's workers would each get a private copy of
-/// the job queue and the fork would diverge from the parent. Behaviors
-/// key the map by the address of the shared allocation
-/// (`Rc::as_ptr(...) as usize`), which is unique per live allocation and
-/// identical across all holders of one handle.
-#[derive(Debug, Default)]
-pub struct ForkCtx {
-    cloned: std::collections::HashMap<usize, Box<dyn std::any::Any>>,
-}
-
-impl ForkCtx {
-    /// Creates an empty context for one fork operation.
-    pub fn new() -> Self {
-        ForkCtx::default()
-    }
-
-    /// Returns the fork-local clone for the shared allocation at `key`,
-    /// calling `make` to build it the first time the key is seen.
-    ///
-    /// # Panics
-    ///
-    /// Panics if two different types are registered under the same key —
-    /// that would mean two distinct shared objects at one address, which
-    /// cannot happen for live `Rc`s.
-    pub fn dedup<T: Clone + 'static>(&mut self, key: usize, make: impl FnOnce() -> T) -> T {
-        if let Some(existing) = self.cloned.get(&key) {
-            return existing
-                .downcast_ref::<T>()
-                .expect("fork dedup key reused with a different type")
-                .clone();
-        }
-        let fresh = make();
-        self.cloned.insert(key, Box::new(fresh.clone()));
-        fresh
-    }
-}
-
 /// Serialized form of one task behavior: a dispatch tag naming the
 /// concrete behavior type plus that type's own payload. The kernel treats
 /// both as opaque; the workload crate that defined the behavior interprets
-/// them when a persisted snapshot is hydrated.
+/// them whenever a snapshot is forked or hydrated.
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct BehaviorSaved {
     /// Dispatch tag (e.g. `"frame_loop"`) understood by the restoring
@@ -178,14 +136,16 @@ pub struct BehaviorSaved {
 }
 
 /// Deduplication context for *saving* behaviors that share state through
-/// `Rc` handles — the persistence counterpart of [`ForkCtx`].
+/// `Rc` handles (job queues, completion trackers, scene fences).
 ///
-/// Each shared allocation (job queue, completion tracker, scene fence) is
-/// assigned a small dense id the first time it is seen; every holder
-/// records that id in its payload alongside a full copy of the shared
-/// state. On restore, [`RestoreCtx::dedup`] rebuilds the allocation once
-/// per id and hands every holder the same new handle, so sharing topology
-/// survives the round trip exactly as it does across a fork.
+/// Each shared allocation is assigned a small dense id the first time it
+/// is seen (keyed by `Rc::as_ptr(...) as usize`, unique per live
+/// allocation and identical across all holders of one handle); every
+/// holder records that id in its payload alongside a full copy of the
+/// shared state. On restore, [`RestoreCtx::dedup`] rebuilds the
+/// allocation once per id and hands every holder the same new handle, so
+/// a pool's workers share one new job queue — severed from the original,
+/// shared within the restored copy.
 #[derive(Debug, Default)]
 pub struct SaveCtx {
     ids: std::collections::HashMap<usize, u64>,
@@ -252,26 +212,15 @@ pub trait TaskBehavior {
     /// Produces the next step for this task.
     fn next_step(&mut self, ctx: &mut BehaviorCtx<'_>) -> Step;
 
-    /// Produces an independent deep copy of this behavior for a forked
-    /// simulation, deduplicating shared handles through `ctx`.
+    /// Captures this behavior's full state as a serializable
+    /// [`BehaviorSaved`]: a snapshot holds it, and every fork restores a
+    /// fresh behavior from it. Shared handles record a [`SaveCtx`] share
+    /// id so the restorer can rebuild each shared allocation once.
     ///
     /// Returning `None` (the default) declares the behavior opaque —
     /// ad-hoc closures, for example — and makes the owning simulation
     /// unsnapshottable; callers then fall back to a cold run. All
     /// behaviors shipped by the `workloads` crate implement this.
-    fn fork_box(&self, ctx: &mut ForkCtx) -> Option<Box<dyn TaskBehavior>> {
-        let _ = ctx;
-        None
-    }
-
-    /// Captures this behavior's full state as a serializable
-    /// [`BehaviorSaved`] — the persistent counterpart of
-    /// [`TaskBehavior::fork_box`]. Shared handles record a [`SaveCtx`]
-    /// share id so the restorer can rebuild each shared allocation once.
-    ///
-    /// Returning `None` (the default) declares the behavior opaque to
-    /// persistence; the owning simulation then cannot be written to the
-    /// snapshot store and callers fall back to a cold run.
     fn save_box(&self, ctx: &mut SaveCtx) -> Option<BehaviorSaved> {
         let _ = ctx;
         None
@@ -289,7 +238,7 @@ where
 
 /// Internal per-task bookkeeping. Public within the crate only.
 pub(crate) struct TaskCb {
-    /// Interned at spawn; snapshots clone the `Arc`, not the bytes.
+    /// Interned at spawn; task reports clone the `Arc`, not the bytes.
     pub(crate) name: std::sync::Arc<str>,
     pub(crate) state: TaskState,
     pub(crate) behavior: Box<dyn TaskBehavior>,
@@ -370,27 +319,8 @@ mod tests {
     }
 
     #[test]
-    fn fork_ctx_dedups_by_key() {
-        let mut ctx = ForkCtx::new();
-        let mut builds = 0;
-        let a: std::rc::Rc<u32> = ctx.dedup(42, || {
-            builds += 1;
-            std::rc::Rc::new(7)
-        });
-        let b: std::rc::Rc<u32> = ctx.dedup(42, || {
-            builds += 1;
-            std::rc::Rc::new(9)
-        });
-        assert_eq!(builds, 1, "second lookup must reuse the first clone");
-        assert!(std::rc::Rc::ptr_eq(&a, &b));
-        let c: std::rc::Rc<u32> = ctx.dedup(43, || std::rc::Rc::new(9));
-        assert!(!std::rc::Rc::ptr_eq(&a, &c));
-    }
-
-    #[test]
     fn closures_are_not_forkable() {
         let b: Box<dyn TaskBehavior> = Box::new(|_: &mut BehaviorCtx<'_>| Step::Exit);
-        assert!(b.fork_box(&mut ForkCtx::new()).is_none());
         assert!(b.save_box(&mut SaveCtx::new()).is_none());
     }
 

@@ -123,4 +123,124 @@ mod tests {
         assert_eq!(PerfMetric::Latency.to_string(), "Latency");
         assert_eq!(PerfMetric::Fps.to_string(), "FPS");
     }
+
+    /// One behavior of every dispatch tag [`restore_behavior`] knows, each
+    /// holding the shared handles it can hold.
+    fn every_behavior(p: &Platform) -> Vec<Box<dyn TaskBehavior>> {
+        use bl_kernel::task::TaskId;
+        use bl_simcore::{rng::SimRng, time::SimTime};
+        use threads::*;
+
+        let prof = WorkProfile::default();
+        let w = |ms| work_ms(p, &prof, ms);
+        let ms = SimDuration::from_millis;
+        let queue = JobQueue::new();
+        queue.register_worker(TaskId(0));
+        let tracker = CompletionTracker::new(8);
+        let scene = SceneSync::new();
+        let actions = (0..4)
+            .map(|i| ScriptAction {
+                think: ms(30 * i),
+                burst: w(2.0),
+                burst_profile: prof,
+                jobs: [(3.0, true), (1.5, false)]
+                    .map(|(m, completes)| Job {
+                        work: w(m),
+                        profile: prof,
+                        completes,
+                    })
+                    .to_vec(),
+            })
+            .collect();
+        let segments = (0..8).map(|i| (SimTime::ZERO + ms(25 * i), w(4.0)));
+        let little = p.topology.cluster_of_kind(CoreKind::Little).unwrap();
+        vec![
+            Box::new(PoolWorker::new(queue.clone(), Some(tracker.clone()))),
+            Box::new(
+                ContinuousTask::new(
+                    SimRng::seed_from(7),
+                    w(40.0),
+                    w(3.0),
+                    prof,
+                    ms(2),
+                    0.5,
+                    true,
+                )
+                .with_tracker(tracker.clone()),
+            ),
+            Box::new(
+                FrameLoop::new(SimRng::seed_from(11), 60.0, w(5.0), 0.3, prof, true)
+                    .with_stalls(0.2, ms(40))
+                    .with_scene(scene.clone()),
+            ),
+            Box::new(
+                PeriodicTask::new(SimRng::seed_from(13), ms(20), 0.2, w(1.0), 0.3, prof)
+                    .with_scene(scene),
+            ),
+            Box::new(UiScriptThread::new(actions, Some(queue), tracker.clone())),
+            Box::new(microbench::MicroBench::new(
+                &p.perf,
+                CoreKind::Little,
+                &little.l2,
+                1.3,
+                0.4,
+                ms(10),
+            )),
+            Box::new(replay::TraceReplayThread::new(
+                segments.collect(),
+                prof,
+                tracker,
+            )),
+        ]
+    }
+
+    #[test]
+    fn behaviors_fork_deeply() {
+        // A fork restores every behavior from its saved state: the copy
+        // must replay step for step (RNG draws, wakes and signals
+        // included) and share nothing with the original — a shared queue
+        // or tracker would make the two drift apart. Saving after each of
+        // the first few steps catches state that is set only mid-stream.
+        use bl_kernel::task::{AppSignal, BehaviorCtx, SaveCtx, Step, TaskId};
+        use bl_simcore::time::SimTime;
+
+        type Emitted = (Step, Vec<TaskId>, Vec<(SimTime, AppSignal)>);
+        fn step(b: &mut Box<dyn TaskBehavior>, i: u64) -> Emitted {
+            let (mut wakes, mut signals) = (Vec::new(), Vec::new());
+            let now = SimTime::from_millis(17 * i);
+            let step = b.next_step(&mut BehaviorCtx::new(now, &mut wakes, &mut signals));
+            (step, wakes, signals)
+        }
+
+        let p = exynos5422();
+        for at in 0..8 {
+            let mut originals = every_behavior(&p);
+            for i in 0..at {
+                for b in &mut originals {
+                    step(b, i);
+                }
+            }
+            let mut save = SaveCtx::new();
+            let saved: Vec<BehaviorSaved> = originals
+                .iter()
+                .map(|b| b.save_box(&mut save).expect("stock behaviors save"))
+                .collect();
+            let mut kinds: Vec<&str> = saved.iter().map(|s| s.kind.as_str()).collect();
+            kinds.sort_unstable();
+            assert_eq!(
+                kinds.join(" "),
+                "continuous frame_loop microbench periodic pool_worker trace_replay ui_script"
+            );
+            let mut restore = RestoreCtx::new();
+            let mut forks: Vec<Box<dyn TaskBehavior>> = saved
+                .iter()
+                .map(|s| restore_behavior(s, &mut restore).expect("stock behaviors restore"))
+                .collect();
+            for i in at..at + 40 {
+                for ((a, b), s) in originals.iter_mut().zip(&mut forks).zip(&saved) {
+                    assert_eq!(step(a, i), step(b, i), "{} saved at {at}, step {i}", s.kind);
+                }
+            }
+        }
+    }
 }

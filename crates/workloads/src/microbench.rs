@@ -5,9 +5,7 @@
 //! fixed duty cycle on a pinned core at a pinned frequency: compute for
 //! `duty × period` of wall time, sleep for the rest, repeat.
 
-use bl_kernel::task::{
-    BehaviorCtx, BehaviorSaved, ForkCtx, RestoreCtx, SaveCtx, Step, TaskBehavior,
-};
+use bl_kernel::task::{BehaviorCtx, BehaviorSaved, RestoreCtx, SaveCtx, Step, TaskBehavior};
 use bl_platform::cache::CacheModel;
 use bl_platform::ids::CoreKind;
 use bl_platform::perf::{PerfModel, Work, WorkProfile};
@@ -16,7 +14,7 @@ use bl_simcore::time::SimDuration;
 use serde::{Deserialize, Serialize};
 
 /// Duty-cycle spin/sleep benchmark.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, PartialEq, Serialize, Deserialize)]
 pub struct MicroBench {
     work_per_period: Work,
     sleep_per_period: SimDuration,
@@ -78,10 +76,6 @@ impl TaskBehavior for MicroBench {
                 profile: self.profile,
             }
         }
-    }
-
-    fn fork_box(&self, _ctx: &mut ForkCtx) -> Option<Box<dyn TaskBehavior>> {
-        Some(Box::new(self.clone()))
     }
 
     fn save_box(&self, _ctx: &mut SaveCtx) -> Option<BehaviorSaved> {

@@ -17,7 +17,7 @@ use crate::threads::{CompletionTracker, TrackerSaved};
 use crate::work_ms;
 use bl_kernel::kernel::{Hw, Kernel};
 use bl_kernel::task::{
-    Affinity, BehaviorCtx, BehaviorSaved, ForkCtx, RestoreCtx, SaveCtx, Step, TaskBehavior,
+    Affinity, BehaviorCtx, BehaviorSaved, RestoreCtx, SaveCtx, Step, TaskBehavior,
 };
 use bl_platform::perf::{Work, WorkProfile};
 use bl_platform::topology::Platform;
@@ -166,12 +166,7 @@ impl RecordedTrace {
                     )
                 })
                 .collect();
-            let b = TraceReplayThread {
-                segments: segments.into_iter(),
-                profile,
-                tracker: tracker.clone(),
-                waiting_for: None,
-            };
+            let b = TraceReplayThread::new(segments, profile, tracker.clone());
             kernel.spawn(
                 format!("{}-{}", self.name, t.name),
                 affinity,
@@ -187,11 +182,28 @@ impl RecordedTrace {
 /// Replays one thread's trace: sleep to each burst's start, run its work,
 /// repeat; report completion at the end.
 #[derive(Debug)]
-struct TraceReplayThread {
+pub(crate) struct TraceReplayThread {
     segments: std::vec::IntoIter<(SimTime, Work)>,
     profile: WorkProfile,
     tracker: CompletionTracker,
     waiting_for: Option<Work>,
+}
+
+impl TraceReplayThread {
+    /// Replays `segments` — `(absolute start, work)` in start order — and
+    /// reports to `tracker` once they are exhausted.
+    pub(crate) fn new(
+        segments: Vec<(SimTime, Work)>,
+        profile: WorkProfile,
+        tracker: CompletionTracker,
+    ) -> Self {
+        TraceReplayThread {
+            segments: segments.into_iter(),
+            profile,
+            tracker,
+            waiting_for: None,
+        }
+    }
 }
 
 impl TaskBehavior for TraceReplayThread {
@@ -225,15 +237,6 @@ impl TaskBehavior for TraceReplayThread {
                 Step::Exit
             }
         }
-    }
-
-    fn fork_box(&self, ctx: &mut ForkCtx) -> Option<Box<dyn TaskBehavior>> {
-        Some(Box::new(TraceReplayThread {
-            segments: self.segments.clone(),
-            profile: self.profile,
-            tracker: self.tracker.fork_with(ctx),
-            waiting_for: self.waiting_for,
-        }))
     }
 
     fn save_box(&self, ctx: &mut SaveCtx) -> Option<BehaviorSaved> {

@@ -14,7 +14,7 @@
 //!   `ScriptDone` signal that defines an app's latency.
 
 use bl_kernel::task::{
-    AppSignal, BehaviorCtx, BehaviorSaved, ForkCtx, RestoreCtx, SaveCtx, Step, TaskBehavior, TaskId,
+    AppSignal, BehaviorCtx, BehaviorSaved, RestoreCtx, SaveCtx, Step, TaskBehavior, TaskId,
 };
 use bl_platform::perf::{Work, WorkProfile};
 use bl_simcore::error::SimError;
@@ -88,20 +88,8 @@ impl CompletionTracker {
         self.0.borrow().fired
     }
 
-    /// Deep-copies the tracker for a forked simulation, deduplicated
-    /// through `ctx`: every behavior holding this tracker in the parent
-    /// receives the *same* new tracker in the fork, severed from the
-    /// parent's counter.
-    pub fn fork_with(&self, ctx: &mut ForkCtx) -> CompletionTracker {
-        let key = Rc::as_ptr(&self.0) as usize;
-        ctx.dedup(key, || {
-            CompletionTracker(Rc::new(RefCell::new(self.0.borrow().clone())))
-        })
-    }
-
     /// Serializes the tracker through `ctx`, recording its share id so all
-    /// holders of this handle reunite on restore (the persistent-snapshot
-    /// analog of [`CompletionTracker::fork_with`]).
+    /// holders of this handle reunite on restore.
     pub fn save_with(&self, ctx: &mut SaveCtx) -> TrackerSaved {
         TrackerSaved {
             share: ctx.share_id(Rc::as_ptr(&self.0) as usize),
@@ -132,7 +120,7 @@ pub struct Job {
     pub completes: bool,
 }
 
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 struct QueueInner {
     jobs: VecDeque<Job>,
     workers: Vec<TaskId>,
@@ -175,16 +163,6 @@ impl JobQueue {
     /// True when no jobs are queued.
     pub fn is_empty(&self) -> bool {
         self.0.borrow().jobs.is_empty()
-    }
-
-    /// Deep-copies the queue (jobs and worker registrations) for a forked
-    /// simulation, deduplicated through `ctx` so all workers of one pool
-    /// share one new queue.
-    pub fn fork_with(&self, ctx: &mut ForkCtx) -> JobQueue {
-        let key = Rc::as_ptr(&self.0) as usize;
-        ctx.dedup(key, || {
-            JobQueue(Rc::new(RefCell::new(self.0.borrow().clone())))
-        })
     }
 
     pub(crate) fn save_with(&self, ctx: &mut SaveCtx) -> QueueSaved {
@@ -253,14 +231,6 @@ impl TaskBehavior for PoolWorker {
             }
             None => Step::Block,
         }
-    }
-
-    fn fork_box(&self, ctx: &mut ForkCtx) -> Option<Box<dyn TaskBehavior>> {
-        Some(Box::new(PoolWorker {
-            queue: self.queue.fork_with(ctx),
-            tracker: self.tracker.as_ref().map(|t| t.fork_with(ctx)),
-            pending_complete: self.pending_complete,
-        }))
     }
 
     fn save_box(&self, ctx: &mut SaveCtx) -> Option<BehaviorSaved> {
@@ -382,20 +352,6 @@ impl TaskBehavior for ContinuousTask {
         }
     }
 
-    fn fork_box(&self, ctx: &mut ForkCtx) -> Option<Box<dyn TaskBehavior>> {
-        Some(Box::new(ContinuousTask {
-            rng: self.rng.clone(),
-            remaining: self.remaining,
-            chunk: self.chunk,
-            profile: self.profile,
-            io_sleep: self.io_sleep,
-            io_prob: self.io_prob,
-            signal_done: self.signal_done,
-            tracker: self.tracker.as_ref().map(|t| t.fork_with(ctx)),
-            just_computed: self.just_computed,
-        }))
-    }
-
     fn save_box(&self, ctx: &mut SaveCtx) -> Option<BehaviorSaved> {
         let saved = ContinuousSaved {
             rng: self.rng.state_save(),
@@ -476,16 +432,6 @@ impl SceneSync {
     pub fn paused_until(&self, now: SimTime) -> Option<SimTime> {
         let t = self.0.get();
         (t > now).then_some(t)
-    }
-
-    /// Deep-copies the scene fence for a forked simulation, deduplicated
-    /// through `ctx` so the whole thread family stays synchronized on one
-    /// new fence.
-    pub fn fork_with(&self, ctx: &mut ForkCtx) -> SceneSync {
-        let key = Rc::as_ptr(&self.0) as usize;
-        ctx.dedup(key, || {
-            SceneSync(Rc::new(std::cell::Cell::new(self.0.get())))
-        })
     }
 
     pub(crate) fn save_with(&self, ctx: &mut SaveCtx) -> SceneSaved {
@@ -634,22 +580,6 @@ impl TaskBehavior for FrameLoop {
         }
     }
 
-    fn fork_box(&self, ctx: &mut ForkCtx) -> Option<Box<dyn TaskBehavior>> {
-        Some(Box::new(FrameLoop {
-            rng: self.rng.clone(),
-            vsync: self.vsync,
-            work_median: self.work_median,
-            sigma: self.sigma,
-            profile: self.profile,
-            emit_frames: self.emit_frames,
-            stall_prob: self.stall_prob,
-            stall: self.stall,
-            scene: self.scene.as_ref().map(|s| s.fork_with(ctx)),
-            next_vsync: self.next_vsync,
-            state: self.state,
-        }))
-    }
-
     fn save_box(&self, ctx: &mut SaveCtx) -> Option<BehaviorSaved> {
         let saved = FrameLoopSaved {
             rng: self.rng.state_save(),
@@ -787,19 +717,6 @@ impl TaskBehavior for PeriodicTask {
                 profile: self.profile,
             }
         }
-    }
-
-    fn fork_box(&self, ctx: &mut ForkCtx) -> Option<Box<dyn TaskBehavior>> {
-        Some(Box::new(PeriodicTask {
-            rng: self.rng.clone(),
-            period: self.period,
-            jitter_frac: self.jitter_frac,
-            work_median: self.work_median,
-            sigma: self.sigma,
-            profile: self.profile,
-            scene: self.scene.as_ref().map(|s| s.fork_with(ctx)),
-            computing: self.computing,
-        }))
     }
 
     fn save_box(&self, ctx: &mut SaveCtx) -> Option<BehaviorSaved> {
@@ -957,16 +874,6 @@ impl TaskBehavior for UiScriptThread {
                 }
             }
         }
-    }
-
-    fn fork_box(&self, ctx: &mut ForkCtx) -> Option<Box<dyn TaskBehavior>> {
-        Some(Box::new(UiScriptThread {
-            actions: self.actions.clone(),
-            current: self.current.clone(),
-            queue: self.queue.as_ref().map(|q| q.fork_with(ctx)),
-            tracker: self.tracker.fork_with(ctx),
-            state: self.state,
-        }))
     }
 
     fn save_box(&self, ctx: &mut SaveCtx) -> Option<BehaviorSaved> {
@@ -1274,10 +1181,15 @@ mod tests {
         let w1 = PoolWorker::new(q.clone(), Some(tracker.clone()));
         let w2 = PoolWorker::new(q.clone(), Some(tracker.clone()));
 
-        let mut fctx = ForkCtx::new();
-        let fq1 = w1.queue.fork_with(&mut fctx);
-        let fq2 = w2.queue.fork_with(&mut fctx);
-        let ft = tracker.fork_with(&mut fctx);
+        // A fork is a restore from the parent's saved state.
+        let mut sctx = SaveCtx::new();
+        let sq1 = w1.queue.save_with(&mut sctx);
+        let sq2 = w2.queue.save_with(&mut sctx);
+        let st = tracker.save_with(&mut sctx);
+        let mut rctx = RestoreCtx::new();
+        let fq1 = JobQueue::restore_from(&sq1, &mut rctx);
+        let fq2 = JobQueue::restore_from(&sq2, &mut rctx);
+        let ft = CompletionTracker::restore_from(&st, &mut rctx);
         // Within the fork the pool shares one queue...
         assert!(Rc::ptr_eq(&fq1.0, &fq2.0));
         // ...which is severed from the parent's.
@@ -1301,44 +1213,6 @@ mod tests {
         assert!(q.is_empty());
         assert_eq!(ft.done(), 1);
         assert_eq!(tracker.done(), 0);
-    }
-
-    #[test]
-    fn behaviors_fork_deeply() {
-        // Every stock behavior must offer fork_box, and forked RNG streams
-        // must replay identically to the parent's.
-        let (mut wakes, mut signals) = ctx_parts();
-        let scene = SceneSync::new();
-        let f = FrameLoop::new(
-            SimRng::seed_from(11),
-            60.0,
-            w(1.0),
-            0.3,
-            WorkProfile::default(),
-            true,
-        )
-        .with_stalls(0.01, SimDuration::from_millis(300))
-        .with_scene(scene.clone());
-        let mut forked = f.fork_box(&mut ForkCtx::new()).expect("FrameLoop forks");
-        let mut original = FrameLoop {
-            rng: f.rng.clone(),
-            scene: Some(scene),
-            ..FrameLoop::new(
-                SimRng::seed_from(11),
-                60.0,
-                w(1.0),
-                0.3,
-                WorkProfile::default(),
-                true,
-            )
-        }
-        .with_stalls(0.01, SimDuration::from_millis(300));
-        for i in 0..20u64 {
-            let mut ctx = mk_ctx(&mut wakes, &mut signals, i * 17);
-            let a = original.next_step(&mut ctx);
-            let b = forked.next_step(&mut ctx);
-            assert_eq!(a, b, "step {i}");
-        }
     }
 
     #[test]

@@ -8,6 +8,7 @@ use biglittle::{sweep, LateBindings, Scenario, SimSnapshot, StopWhen, SweepOptio
 use bl_governor::GovernorConfig;
 use bl_simcore::budget::RunBudget;
 use bl_simcore::fault::{FaultKind, FaultPlan};
+use bl_simcore::journal::fnv1a;
 use bl_simcore::snapstore::SnapStore;
 use bl_simcore::time::{SimDuration, SimTime};
 use bl_workloads::apps::app_by_name;
@@ -121,6 +122,27 @@ fn golden_fingerprint_regression() {
         GOLDEN_FINGERPRINT,
         "pinned scenario's warm-state fingerprint moved: either an intended \
          numeric change (update the constant) or a determinism regression"
+    );
+}
+
+/// FNV-1a of the pinned scenario's serialized snapshot payload: the
+/// on-disk `.snap` format, byte for byte. When the payload format changes
+/// on purpose, bump `SNAP_FORMAT_VERSION` (so stores written by older
+/// builds read as misses) and update this constant; when it fails
+/// unexpectedly, a refactor silently changed what the store writes.
+const GOLDEN_PAYLOAD_DIGEST: u64 = 0xdce1_fca5_7875_210e;
+
+#[test]
+fn golden_payload_digest() {
+    let sc = grid_point("golden", 42, true, false, late_variant(0));
+    let snap = sc.snapshot_prefix(&RunBudget::unlimited()).unwrap();
+    let json = serde_json::to_string(&snap.to_payload().unwrap()).unwrap();
+    assert_eq!(
+        fnv1a(json.as_bytes()),
+        GOLDEN_PAYLOAD_DIGEST,
+        "pinned scenario's snapshot payload ({} bytes) changed: bump \
+         SNAP_FORMAT_VERSION and this constant if intended",
+        json.len()
     );
 }
 
