@@ -22,7 +22,6 @@
 //! repro --bench-sweep f.json # serial-vs-parallel wall-time comparison
 //! repro --bench-hotloop f.json # ticked-vs-skip-ahead hot-loop microbench
 //! repro --bench-snapshot f.json # cold-vs-forked prefix-sharing sweep bench
-//! repro --bench-kernels f.json # scalar-vs-batch-kernel microbench (bit-identity gate)
 //! repro --demo-sweep f.json # deterministic journaled batch (kill/resume demo)
 //! repro --smoke-supervision f.json # chaos batch: quarantine + self-heal smoke
 //! repro --smoke-shard f.json # chaos fleet: kill a worker mid-batch, verify merge
@@ -48,6 +47,7 @@ use std::time::{Duration, Instant};
 
 use biglittle::{sweep, SimOptions, SweepOptions};
 use bl_bench::{run_experiment_json_with, run_experiment_with, EXPERIMENTS, SEED};
+use bl_simcore::durable::STALE_AFTER;
 use bl_simcore::snapstore::{clean_stale_snapshots, SnapStore};
 use serde::Value;
 
@@ -102,7 +102,6 @@ fn main() {
     let mut bench_sweep: Option<String> = None;
     let mut bench_hotloop: Option<String> = None;
     let mut bench_snapshot: Option<String> = None;
-    let mut bench_kernels: Option<String> = None;
     let mut demo_sweep: Option<String> = None;
     let mut smoke_supervision: Option<String> = None;
     let mut smoke_shard: Option<String> = None;
@@ -181,7 +180,6 @@ fn main() {
             "--bench-sweep" => bench_sweep = it.next().cloned(),
             "--bench-hotloop" => bench_hotloop = it.next().cloned(),
             "--bench-snapshot" => bench_snapshot = it.next().cloned(),
-            "--bench-kernels" => bench_kernels = it.next().cloned(),
             "--demo-sweep" => demo_sweep = it.next().cloned(),
             "--smoke-supervision" => smoke_supervision = it.next().cloned(),
             "--smoke-shard" => smoke_shard = it.next().cloned(),
@@ -201,9 +199,9 @@ fn main() {
                      \x20            [--audit] [--resume]\n\
                      \x20            [--workers <n>] [--lease-ms <n>] [--heartbeat-ms <n>]\n\
                      \x20            [--bench-sweep <file>] [--bench-hotloop <file>]\n\
-                     \x20            [--bench-snapshot <file>] [--bench-kernels <file>]\n\
-                     \x20            [--demo-sweep <file>] [--smoke-supervision <file>]\n\
-                     \x20            [--smoke-shard <file>] [--smoke-serve <file>] [--list]\n\
+                     \x20            [--bench-snapshot <file>] [--demo-sweep <file>]\n\
+                     \x20            [--smoke-supervision <file>] [--smoke-shard <file>]\n\
+                     \x20            [--smoke-serve <file>] [--list]\n\
                      \x20     repro serve --socket <path> [--serve-dir <dir>] ...\n\
                      \x20     repro submit --socket <path> (--demo <out>|--status|--drain) ...\n\
                      ids: {}",
@@ -231,11 +229,7 @@ fn main() {
     // files and unkeyed `.snap` files — ages out of the store directory,
     // mirroring the journal directory's stale-artifact sweep.
     if snap_store {
-        let stale_after = std::env::var(sweep::shard::STALE_ENV)
-            .ok()
-            .and_then(|v| v.parse::<u64>().ok())
-            .map_or(Duration::from_secs(24 * 3600), Duration::from_millis);
-        let removed = clean_stale_snapshots(Path::new(&snap_dir), stale_after);
+        let removed = clean_stale_snapshots(Path::new(&snap_dir), STALE_AFTER);
         if removed > 0 {
             eprintln!("snapshot hygiene: removed {removed} stale file(s) from {snap_dir}");
         }
@@ -276,10 +270,6 @@ fn main() {
     }
     if let Some(path) = bench_snapshot {
         run_bench_snapshot(&path, seed, fast);
-        return;
-    }
-    if let Some(path) = bench_kernels {
-        run_bench_kernels(&path, seed, fast);
         return;
     }
     if let Some(path) = demo_sweep {
@@ -479,8 +469,14 @@ fn run_bench_hotloop(path: &str, seed: u64, fast: bool) {
             let wall_ns = t0.elapsed().as_nanos() as f64;
             (sim.finish(), wall_ns)
         };
-        let (ticked_result, ticked_ns) = run(false);
-        let (skip_result, skip_ns) = run(true);
+        let (mut ticked_result, ticked_ns) = run(false);
+        let (mut skip_result, skip_ns) = run(true);
+        // `events_processed` is serialized but outside `PartialEq`
+        // (DESIGN.md §3.5): skip-ahead elides idle ticks, so the two modes
+        // legitimately count different events. Zeroed on both sides, the
+        // byte comparison covers every observable and nothing else.
+        ticked_result.events_processed = 0;
+        skip_result.events_processed = 0;
         let identical = serde_json::to_string(&ticked_result).expect("serialize")
             == serde_json::to_string(&skip_result).expect("serialize");
         all_identical &= identical;
@@ -905,309 +901,6 @@ fn run_bench_snapshot(path: &str, seed: u64, fast: bool) {
     eprintln!("wrote {path}");
     if !all_identical {
         eprintln!("ERROR: forked runs diverged from cold runs");
-        std::process::exit(1);
-    }
-}
-
-/// Microbenchmarks every scalar-reference vs batch-kernel pair — PELT
-/// decay (per-index `LoadSet::update` vs `update_batch_with`), cluster
-/// power (`instant_mw_with_idle_ref` vs the gathered-lane kernel path)
-/// and the thermal RC step (a `ClusterThermal` loop vs
-/// `ThermalBank::advance_all`) — plus an end-to-end scenario timed for
-/// events/sec. Each pair runs the same deterministic input schedule on
-/// both paths, verifies the outputs are bit-identical, and writes a
-/// machine-readable record to `path`; exits 1 on any divergence.
-fn run_bench_kernels(path: &str, seed: u64, fast: bool) {
-    use biglittle::{Scenario, StopWhen, SystemConfig};
-    use bl_kernel::LoadSet;
-    use bl_platform::exynos::{exynos5422, BIG_CLUSTER};
-    use bl_platform::{CoreConfig, PlatformState};
-    use bl_power::{ClusterThermal, PowerModel, ThermalBank, ThermalParams};
-    use bl_simcore::budget::RunBudget;
-    use bl_simcore::time::{SimDuration, SimTime};
-    use bl_workloads::apps::app_by_name;
-    use std::hint::black_box;
-
-    /// splitmix64: a tiny deterministic stream so both paths replay the
-    /// exact same input schedule.
-    fn next(state: &mut u64) -> u64 {
-        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = *state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    let mut records: Vec<Value> = Vec::new();
-    let mut all_identical = true;
-
-    // ---- PELT decay: per-index scalar updates vs the fused batch kernel.
-    // The schedule mirrors the simulator's regime: all lanes share each
-    // tick's `now`, most are runnable every tick (so elapsed intervals —
-    // and the decay `exp` — repeat across lanes), a few sleep. Generated
-    // up front so the timed region measures only the update paths.
-    {
-        const LANES: usize = 16;
-        let steps = if fast { 20_000 } else { 400_000 };
-        let schedule: Vec<(u64, [Option<f64>; LANES])> = {
-            let mut rng = seed ^ 0xD1B5_4A32_D192_ED03;
-            (0..steps)
-                .map(|_| {
-                    let dt = 1 + next(&mut rng) % 4;
-                    let mut contribs = [None; LANES];
-                    for c in contribs.iter_mut() {
-                        let draw = next(&mut rng);
-                        *c = (draw & 7 != 0).then(|| ((draw >> 8) % 1000) as f64 / 1000.0);
-                    }
-                    (dt, contribs)
-                })
-                .collect()
-        };
-        let run = |batch: bool| -> (Vec<f64>, f64) {
-            let mut set = LoadSet::new(32.0);
-            for _ in 0..LANES {
-                set.push(SimTime::ZERO);
-            }
-            let mut now = SimTime::ZERO;
-            let t0 = Instant::now();
-            for (dt_ms, contribs) in &schedule {
-                now += SimDuration::from_millis(*dt_ms);
-                if batch {
-                    set.update_batch_with(now, |i| contribs[i]);
-                } else {
-                    for (i, c) in contribs.iter().enumerate() {
-                        if let Some(r) = c {
-                            set.update(i, now, *r);
-                        }
-                    }
-                }
-                black_box(set.value(0));
-            }
-            (set.values().to_vec(), t0.elapsed().as_secs_f64() * 1e3)
-        };
-        let (scalar_vals, scalar_ms) = run(false);
-        let (kernel_vals, kernel_ms) = run(true);
-        let identical = scalar_vals
-            .iter()
-            .zip(&kernel_vals)
-            .all(|(a, b)| a.to_bits() == b.to_bits());
-        all_identical &= identical;
-        eprintln!(
-            "pelt_decay       scalar={scalar_ms:>8.1}ms kernel={kernel_ms:>8.1}ms \
-             speedup={:>5.2}x identical={identical}",
-            scalar_ms / kernel_ms
-        );
-        records.push(Value::Object(vec![
-            ("case".into(), Value::String("pelt_decay".into())),
-            ("scalar_wall_ms".into(), Value::Float(scalar_ms)),
-            ("kernel_wall_ms".into(), Value::Float(kernel_ms)),
-            ("speedup".into(), Value::Float(scalar_ms / kernel_ms)),
-            ("bit_identical".into(), Value::Bool(identical)),
-        ]));
-    }
-
-    // ---- Cluster power: branchy reference loop vs gathered-lane kernel.
-    {
-        let p = exynos5422();
-        let model = PowerModel::screen_on();
-        let mut state = PlatformState::new(&p.topology);
-        state
-            .apply_core_config(&p.topology, CoreConfig::new(3, 4))
-            .expect("valid core config");
-        state.set_cluster_freq(&p.topology, BIG_CLUSTER, 1_600_000);
-        let n = p.topology.n_cpus();
-        let iters = if fast { 50_000 } else { 1_000_000 };
-        // A bank of pregenerated activity/idle-scale rows cycled through
-        // the timed loops, so both sides pay only the model evaluation.
-        let rows: Vec<(Vec<f64>, Vec<f64>)> = {
-            let mut rng = seed ^ 0x8CB9_2BA7_2F3D_8DD7;
-            (0..512)
-                .map(|_| {
-                    let mut activity = vec![0.0f64; n];
-                    let mut scales = vec![1.0f64; n];
-                    for i in 0..n {
-                        let d = next(&mut rng);
-                        activity[i] = if d & 3 == 0 {
-                            0.0
-                        } else {
-                            ((d >> 8) % 1500) as f64 / 1000.0
-                        };
-                        scales[i] = ((d >> 24) % 1000) as f64 / 1000.0;
-                    }
-                    (activity, scales)
-                })
-                .collect()
-        };
-        let run = |kernel: bool| -> (f64, f64) {
-            let mut acc = 0.0f64;
-            let t0 = Instant::now();
-            for it in 0..iters {
-                let (activity, scales) = &rows[it % rows.len()];
-                acc += if kernel {
-                    model.instant_mw_with_idle(&p.topology, &state, activity, Some(scales))
-                } else {
-                    model.instant_mw_with_idle_ref(&p.topology, &state, activity, Some(scales))
-                };
-            }
-            (black_box(acc), t0.elapsed().as_secs_f64() * 1e3)
-        };
-        let (scalar_sum, scalar_ms) = run(false);
-        let (kernel_sum, kernel_ms) = run(true);
-        let identical = scalar_sum.to_bits() == kernel_sum.to_bits();
-        all_identical &= identical;
-        eprintln!(
-            "power_idle       scalar={scalar_ms:>8.1}ms kernel={kernel_ms:>8.1}ms \
-             speedup={:>5.2}x identical={identical}",
-            scalar_ms / kernel_ms
-        );
-        records.push(Value::Object(vec![
-            ("case".into(), Value::String("power_idle".into())),
-            ("scalar_wall_ms".into(), Value::Float(scalar_ms)),
-            ("kernel_wall_ms".into(), Value::Float(kernel_ms)),
-            ("speedup".into(), Value::Float(scalar_ms / kernel_ms)),
-            ("bit_identical".into(), Value::Bool(identical)),
-        ]));
-    }
-
-    // ---- Thermal RC: scalar node loop vs the bank's lane kernel.
-    {
-        let params = vec![
-            ThermalParams::exynos5422_little(),
-            ThermalParams::exynos5422_big(),
-        ];
-        let steps = if fast { 100_000 } else { 2_000_000 };
-        // Variable step widths (as the event-driven sampler produces) so
-        // neither side can hoist the decay `exp` out of the loop;
-        // pregenerated so the timed region is only the RC step.
-        let schedule: Vec<(SimDuration, [f64; 2])> = {
-            let mut rng = seed ^ 0x94D0_49BB_1331_11EB;
-            (0..steps)
-                .map(|_| {
-                    let dt = SimDuration::from_millis(1 + next(&mut rng) % 20);
-                    let powers = [
-                        (next(&mut rng) % 700) as f64 / 100.0,
-                        (next(&mut rng) % 700) as f64 / 100.0,
-                    ];
-                    (dt, powers)
-                })
-                .collect()
-        };
-        let scalar = {
-            let mut nodes: Vec<ClusterThermal> =
-                params.iter().map(|p| ClusterThermal::new(*p)).collect();
-            let t0 = Instant::now();
-            for (dt, powers) in &schedule {
-                for (i, node) in nodes.iter_mut().enumerate() {
-                    black_box(node.advance(*dt, powers[i]));
-                }
-            }
-            let temps: Vec<f64> = nodes.iter().map(ClusterThermal::temp_c).collect();
-            (temps, t0.elapsed().as_secs_f64() * 1e3)
-        };
-        let kernel = {
-            let mut bank = ThermalBank::new(params);
-            let mut changed = Vec::new();
-            let t0 = Instant::now();
-            for (dt, powers) in &schedule {
-                changed.clear();
-                bank.advance_all(*dt, powers, &mut changed);
-                black_box(changed.len());
-            }
-            (bank.temps().to_vec(), t0.elapsed().as_secs_f64() * 1e3)
-        };
-        let (scalar_temps, scalar_ms) = scalar;
-        let (kernel_temps, kernel_ms) = kernel;
-        let identical = scalar_temps
-            .iter()
-            .zip(&kernel_temps)
-            .all(|(a, b)| a.to_bits() == b.to_bits());
-        all_identical &= identical;
-        eprintln!(
-            "thermal_rc       scalar={scalar_ms:>8.1}ms kernel={kernel_ms:>8.1}ms \
-             speedup={:>5.2}x identical={identical}",
-            scalar_ms / kernel_ms
-        );
-        records.push(Value::Object(vec![
-            ("case".into(), Value::String("thermal_rc".into())),
-            ("scalar_wall_ms".into(), Value::Float(scalar_ms)),
-            ("kernel_wall_ms".into(), Value::Float(kernel_ms)),
-            ("speedup".into(), Value::Float(scalar_ms / kernel_ms)),
-            ("bit_identical".into(), Value::Bool(identical)),
-        ]));
-    }
-
-    // ---- End-to-end: a TLP-heavy scenario on the fully kernel-ported
-    // simulator, run twice for run-to-run determinism and events/sec.
-    {
-        let run_for = if fast {
-            SimDuration::from_millis(500)
-        } else {
-            SimDuration::from_secs(5)
-        };
-        let sc = Scenario::app(
-            "bench-kernels-e2e",
-            app_by_name("Angry Bird").expect("known app"),
-            SystemConfig::baseline().with_seed(seed),
-        )
-        .with_stop(StopWhen::Deadline(run_for));
-        let budget = RunBudget::unlimited();
-        let t0 = Instant::now();
-        let first = sc.run_with_budget(&budget).expect("scenario runs");
-        let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
-        let second = sc.run_with_budget(&budget).expect("scenario runs");
-        let identical = serde_json::to_string(&first).expect("serialize")
-            == serde_json::to_string(&second).expect("serialize");
-        all_identical &= identical;
-        let events_per_sec = first.events_processed as f64 / (wall_ms / 1e3);
-        eprintln!(
-            "end_to_end       wall={wall_ms:>8.1}ms events={} \
-             events/s={events_per_sec:>10.0} identical={identical}",
-            first.events_processed
-        );
-        records.push(Value::Object(vec![
-            ("case".into(), Value::String("end_to_end".into())),
-            ("wall_ms".into(), Value::Float(wall_ms)),
-            ("sim_ms".into(), Value::Float(run_for.as_millis_f64())),
-            ("events".into(), Value::UInt(first.events_processed)),
-            ("events_per_sec".into(), Value::Float(events_per_sec)),
-            ("bit_identical".into(), Value::Bool(identical)),
-        ]));
-    }
-
-    let report = Value::Object(vec![
-        (
-            "suite".into(),
-            Value::String("batch kernels vs scalar references".into()),
-        ),
-        ("seed".into(), Value::UInt(seed)),
-        ("fast".into(), Value::Bool(fast)),
-        (
-            "host_parallelism".into(),
-            Value::UInt(bl_simcore::pool::available_jobs() as u64),
-        ),
-        (
-            "note".into(),
-            Value::String(
-                "single-threaded microbench at real platform sizes (16 tasks, \
-                 8 CPUs, 2 thermal nodes); both paths replay one pregenerated \
-                 deterministic schedule. The gate is bit_identical — the \
-                 kernel paths must reproduce their scalar references exactly; \
-                 at these lane counts the wall-clock contract is parity or \
-                 better (the fused paths' structural wins — SoA snapshot \
-                 cloning, allocation-free advances, the memoised decay exp — \
-                 show up in the end-to-end and snapshot suites). Wall times \
-                 move with the host; bit_identical must not. Regenerate with \
-                 `repro --bench-kernels <file>`."
-                    .into(),
-            ),
-        ),
-        ("cases".into(), Value::Array(records)),
-    ]);
-    let body = serde_json::to_string_pretty(&report).expect("report serializes");
-    std::fs::write(path, body + "\n").expect("write bench-kernels file");
-    eprintln!("wrote {path}");
-    if !all_identical {
-        eprintln!("ERROR: a kernel path diverged from its scalar reference");
         std::process::exit(1);
     }
 }

@@ -25,16 +25,18 @@
 //!   whole batch dying. Configuration errors are never retried.
 //! * **Crash-only journaling.** With [`SweepOptions::journal_dir`] set,
 //!   every completed scenario is appended to a checksummed write-ahead
-//!   journal (`<journal_dir>/<batch-key>.jsonl`, tmp+rename+fsync). A
+//!   journal (`<journal_dir>/<batch-key>.jsonl`, rewritten through
+//!   [`bl_simcore::durable::write_atomic`] on every append). A
 //!   killed sweep re-run with [`SweepOptions::resume`] replays completed
 //!   scenarios from the journal bit-identically and only simulates the
 //!   remainder.
 //! * **Result caching with integrity.** With a cache directory configured,
 //!   each scenario's serialized form plus the sweep's behavior-relevant
 //!   options (see [`cache_key_with`]) is hashed into a key under
-//!   `results/.cache/`. Entries carry an FNV-1a checksum over the payload;
-//!   corrupt or truncated entries are detected, deleted and recomputed
-//!   (self-healing) instead of poisoning downstream results.
+//!   `results/.cache/`. Entries are [`bl_simcore::durable::frame`]d (an
+//!   FNV-1a checksum over the payload) and written atomically; corrupt or
+//!   truncated entries are detected, deleted and recomputed (self-healing)
+//!   instead of poisoning downstream results.
 //! * **Prefix sharing.** Scenarios carrying a warm-up split point (see
 //!   [`Scenario::warmup`]) whose prefixes serialize identically are
 //!   executed as a *fork group*: the shared prefix is simulated once,
@@ -53,8 +55,9 @@ use crate::result::RunResult;
 use crate::scenario::Scenario;
 use crate::sim::SimSnapshot;
 use bl_simcore::budget::{CancelToken, RunBudget};
+use bl_simcore::durable;
 use bl_simcore::error::SimError;
-use bl_simcore::journal::{fnv1a, fsync_dir, Journal};
+use bl_simcore::journal::{fnv1a, Journal};
 use bl_simcore::pool;
 use bl_simcore::rng::derive_seed;
 use bl_simcore::snapstore::{SnapEntry, SnapStore, SNAP_FORMAT_VERSION};
@@ -881,7 +884,7 @@ pub(crate) fn supervise(
     match &result {
         Ok(r) => {
             if let Some(p) = cache_path.as_deref() {
-                cache_write(p, index, r);
+                cache_write(p, r);
             }
             let fp = forked
                 .then(|| snapshot.map(SimSnapshot::fingerprint))
@@ -1750,21 +1753,18 @@ fn err_record(key: &str, error: &SimError, attempts: u32, wall_ms: f64) -> Strin
 
 // ---- cache -----------------------------------------------------------------
 
-/// Reads a cached result, verifying its integrity checksum. Entries are
-/// framed as `<16-hex FNV-1a of payload>\n<payload JSON>\n`; a missing
-/// file is a plain miss, while a corrupt, truncated or legacy-format entry
-/// is deleted on sight (self-healing) and recomputed by the caller. An
-/// entry path occupied by a directory is tolerated as a miss.
+/// Reads a cached result, verifying its integrity checksum. An entry is
+/// one [`durable::frame`]d line holding the result JSON; a missing file is
+/// a plain miss, while a corrupt, truncated or legacy-format entry (the
+/// older `<sum>\n<payload>\n` framing included) is deleted on sight
+/// (self-healing) and recomputed by the caller. An entry path occupied by
+/// a directory is tolerated as a miss.
 fn cache_read_checked(path: &Path) -> Option<RunResult> {
-    let text = std::fs::read_to_string(path).ok()?;
-    let parsed = (|| {
-        let (sum, payload) = text.split_once('\n')?;
-        let payload = payload.strip_suffix('\n').unwrap_or(payload);
-        if sum.len() != 16 || u64::from_str_radix(sum, 16) != Ok(fnv1a(payload.as_bytes())) {
-            return None;
-        }
-        serde_json::from_str::<RunResult>(payload).ok()
-    })();
+    let bytes = std::fs::read(path).ok()?;
+    let parsed = std::str::from_utf8(&bytes)
+        .ok()
+        .and_then(durable::unframe)
+        .and_then(|payload| serde_json::from_str::<RunResult>(payload).ok());
     if parsed.is_none() {
         // The file exists but does not verify: heal by deleting it so the
         // recomputed entry replaces it.
@@ -1773,28 +1773,21 @@ fn cache_read_checked(path: &Path) -> Option<RunResult> {
     parsed
 }
 
-/// Writes a checksummed result entry via a temp file + rename (so
-/// concurrent readers never observe a partial entry), then fsyncs the
-/// cache directory so the rename itself survives a crash. Failures are
-/// ignored — including the cache path being occupied by a regular file —
-/// because the cache is an optimization, never a correctness dependency.
-fn cache_write(path: &Path, index: usize, result: &RunResult) {
+/// Writes a framed result entry through [`durable::write_atomic`], so
+/// concurrent readers never observe a partial entry and the entry
+/// survives a crash. Failures are ignored — including the cache path
+/// being occupied by a directory or the cache directory by a regular
+/// file — because the cache is an optimization, never a correctness
+/// dependency.
+fn cache_write(path: &Path, result: &RunResult) {
     let Some(dir) = path.parent() else { return };
     if std::fs::create_dir_all(dir).is_err() {
         return;
     }
-    let tmp = path.with_extension(format!("tmp{index}"));
     let Ok(json) = serde_json::to_string(result) else {
         return;
     };
-    let framed = format!("{:016x}\n{json}\n", fnv1a(json.as_bytes()));
-    if std::fs::write(&tmp, framed).is_ok() {
-        if std::fs::rename(&tmp, path).is_ok() {
-            fsync_dir(dir);
-        } else {
-            let _ = std::fs::remove_file(&tmp);
-        }
-    }
+    let _ = durable::write_atomic(path, durable::frame(&json).as_bytes());
 }
 
 #[cfg(test)]
@@ -1975,6 +1968,112 @@ mod tests {
         );
         assert!(out.results[0].is_ok());
         let _ = std::fs::remove_file(&file_dir);
+    }
+
+    /// Every truncation of `clean`, then every copy of it with one byte
+    /// XORed with `0x01`.
+    fn damaged(clean: &[u8]) -> impl Iterator<Item = Vec<u8>> + '_ {
+        let truncations = (0..clean.len()).map(|n| clean[..n].to_vec());
+        let flips = (0..clean.len()).map(|i| {
+            let mut bytes = clean.to_vec();
+            bytes[i] ^= 0x01;
+            bytes
+        });
+        truncations.chain(flips)
+    }
+
+    #[test]
+    fn framed_readers_survive_every_truncation_and_bit_flip() {
+        let dir = temp_dir("corruption-sweep");
+
+        // Non-ASCII payloads, so some truncations split a UTF-8 sequence.
+        //
+        // Journal: the damaged line is dropped (with the next one when its
+        // newline is the flipped byte, since the two then read as one
+        // line); every intact line survives.
+        let records = [
+            r#"{"ev":"start","label":"ΔT sweep"}"#,
+            r#"{"ev":"done","i":0}"#,
+            r#"{"ev":"done","i":1}"#,
+        ];
+        let path = dir.join("batch.jsonl");
+        Journal::open(&path, false)
+            .unwrap()
+            .append_all(&records.map(String::from))
+            .unwrap();
+        let clean = std::fs::read(&path).unwrap();
+        let newlines: Vec<usize> = (0..clean.len()).filter(|&i| clean[i] == b'\n').collect();
+        assert_eq!(newlines.len(), records.len());
+        let kept = |keep: &dyn Fn(usize) -> bool| -> Vec<String> {
+            (0..records.len())
+                .filter(|&l| keep(l))
+                .map(|l| records[l].to_string())
+                .collect()
+        };
+        for n in 0..clean.len() {
+            std::fs::write(&path, &clean[..n]).unwrap();
+            let want = kept(&|l| newlines[l] <= n);
+            assert_eq!(
+                Journal::load(&path).unwrap(),
+                want,
+                "truncated to {n} bytes"
+            );
+        }
+        for i in 0..clean.len() {
+            let mut bytes = clean.clone();
+            bytes[i] ^= 0x01;
+            std::fs::write(&path, &bytes).unwrap();
+            let line = newlines.iter().position(|&e| i <= e).unwrap();
+            let last_lost = if clean[i] == b'\n' { line + 1 } else { line };
+            let want = kept(&|l| l < line || l > last_lost);
+            assert_eq!(Journal::load(&path).unwrap(), want, "byte {i} flipped");
+        }
+
+        // A `.snap` entry and a cache entry: the original record when only
+        // the trailing newline is gone, otherwise a miss that deletes the
+        // file.
+        let store_dir = dir.join("snapshots");
+        let entry = SnapEntry {
+            version: SNAP_FORMAT_VERSION,
+            key: "00000000c0ffee00".to_string(),
+            fingerprint: 7,
+            warm_ms: 1.5,
+            state: serde_json::to_value("ΔT warm-up").unwrap(),
+        };
+        SnapStore::open(&store_dir).publish(&entry).unwrap();
+        let path = store_dir.join("00000000c0ffee00.snap");
+        let clean = std::fs::read(&path).unwrap();
+        for bytes in damaged(&clean) {
+            std::fs::write(&path, &bytes).unwrap();
+            let got = SnapStore::with_capacity(&store_dir, 0).load(&entry.key);
+            if clean.strip_suffix(b"\n") == Some(&bytes[..]) {
+                assert_eq!(got.as_ref(), Some(&entry));
+            } else {
+                assert_eq!(got, None, "damaged entry {bytes:?} loaded");
+                assert!(!path.exists(), "damaged entry was not deleted");
+            }
+        }
+
+        let sc = mb("ΔT corrupt", 0.4);
+        let opts = SweepOptions::serial().cached(dir.join("cache"));
+        let result = run_with(std::slice::from_ref(&sc), &opts).results[0]
+            .clone()
+            .unwrap();
+        let path = dir
+            .join("cache")
+            .join(format!("{}.json", cache_key_with(&sc, &opts)));
+        let clean = std::fs::read(&path).unwrap();
+        for bytes in damaged(&clean) {
+            std::fs::write(&path, &bytes).unwrap();
+            let got = cache_read_checked(&path);
+            if clean.strip_suffix(b"\n") == Some(&bytes[..]) {
+                assert_eq!(got.as_ref(), Some(&result));
+            } else {
+                assert!(got.is_none(), "damaged cache entry loaded");
+                assert!(!path.exists(), "damaged cache entry was not deleted");
+            }
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -40,6 +40,7 @@ use std::sync::{mpsc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 use bl_simcore::budget::CancelToken;
+use bl_simcore::durable;
 use bl_simcore::error::SimError;
 use bl_simcore::journal::{self, Journal};
 use bl_simcore::shard::{partition, FromWorker, LeaseBoard, RangeId, ToWorker, WorkerId};
@@ -57,10 +58,6 @@ use crate::scenario::Scenario;
 /// Test hook: a worker whose fleet id equals this variable's value wedges
 /// on its first lease — alive but silent — to exercise lease expiry.
 pub const WEDGE_ENV: &str = "BL_SHARD_TEST_WEDGE_WORKER";
-
-/// Overrides (in milliseconds) the age threshold for startup hygiene of
-/// stale shard artifacts in the journal directory. Defaults to 24 hours.
-pub const STALE_ENV: &str = "BL_SWEEP_STALE_MS";
 
 /// Everything a worker process needs to join a fleet.
 #[derive(Debug, Clone)]
@@ -549,11 +546,7 @@ fn write_lease_snapshot(dir: &Path, bkey: &str, board: &LeaseBoard) {
     let Ok(json) = serde_json::to_string(&v) else {
         return;
     };
-    let path = dir.join(format!("{bkey}.leases.json"));
-    let tmp = dir.join(format!("{bkey}.leases.json.tmp"));
-    if std::fs::write(&tmp, json).is_ok() && std::fs::rename(&tmp, &path).is_err() {
-        let _ = std::fs::remove_file(&tmp);
-    }
+    let _ = durable::write_atomic(&dir.join(format!("{bkey}.leases.json")), json.as_bytes());
 }
 
 /// A [`SweepOutcome`] where setup failed before any worker ran: every
@@ -635,11 +628,7 @@ fn run_sharded_inner(
     // snapshots, batch files and temp files — debris of killed
     // coordinators — are removed once old enough. This batch's own files
     // and every merged `<key>.jsonl` (fleet resume state) survive.
-    let stale_after = std::env::var(STALE_ENV)
-        .ok()
-        .and_then(|v| v.parse::<u64>().ok())
-        .map_or(Duration::from_secs(24 * 3600), Duration::from_millis);
-    journal::clean_stale_artifacts(&dir, &bkey, stale_after);
+    journal::clean_stale_artifacts(&dir, &bkey, durable::STALE_AFTER);
 
     // Fleet-wide resume: absorb the merged journal AND every per-worker
     // journal a dead fleet left behind, then rewrite the merged journal
@@ -670,9 +659,8 @@ fn run_sharded_inner(
     let batch_file = dir.join(format!("{bkey}.batch.json"));
     let batch_json = serde_json::to_string(&scenarios.to_vec())
         .map_err(|e| SimError::config(format!("serializing batch: {e:?}")))?;
-    let batch_tmp = dir.join(format!("{bkey}.batch.json.tmp"));
-    std::fs::write(&batch_tmp, batch_json).map_err(|e| io_err("writing batch file", e))?;
-    std::fs::rename(&batch_tmp, &batch_file).map_err(|e| io_err("writing batch file", e))?;
+    durable::write_atomic(&batch_file, batch_json.as_bytes())
+        .map_err(|e| io_err("writing batch file", e))?;
 
     // Fine-grained ranges (≈4 per worker) keep re-lease losses small.
     let chunk = n.div_ceil(opts.workers * 4).max(1);

@@ -26,10 +26,9 @@ pub struct ClusterSample<'a> {
 impl ClusterSample<'_> {
     /// The domain utilization the stock governors act on: the maximum
     /// per-CPU busy fraction (the domain must be fast enough for its
-    /// busiest CPU). Reduced by [`bl_simcore::kernels::max_or_zero`],
-    /// the same `fold(0.0, f64::max)` every governor sample shares.
+    /// busiest CPU), or `0.0` for a fully hotplugged-off domain.
     pub fn max_util(&self) -> f64 {
-        bl_simcore::kernels::max_or_zero(self.cpu_utils)
+        self.cpu_utils.iter().fold(0.0, |m, &v| f64::max(m, v))
     }
 
     /// The highest OPP the domain may run at under the current ceiling:

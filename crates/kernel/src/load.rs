@@ -13,11 +13,52 @@
 //! occupies (the paper: "the CPU load should be normalized by the current
 //! clock frequency"). Loads are frozen while the task sleeps (paper §IV.B).
 
-use bl_simcore::kernels::{self, ExpMemo};
 use bl_simcore::time::SimTime;
 
 /// Full-scale load value (a task continuously runnable at max frequency).
 pub const LOAD_SCALE: f64 = 1024.0;
+
+/// The per-millisecond EWMA decay rate for a half-life, `-ln 2 /
+/// halflife_ms`, so that `exp(dt_ms · rate)` is the decay factor over
+/// `dt_ms`. Computed once per tracker (the half-life never changes), so
+/// an update is one `exp` instead of a `powf` re-deriving the logarithm.
+fn ewma_rate_per_ms(halflife_ms: f64) -> f64 {
+    -core::f64::consts::LN_2 / halflife_ms
+}
+
+/// One-entry memo for [`f64::exp`] keyed on the argument's bit pattern.
+///
+/// The batch path's decay factor `exp(dt · rate)` recurs with the same
+/// argument lane after lane and tick after tick whenever the sampling
+/// cadence is periodic; one slot removes the transcendental from that
+/// steady state without any table or tolerance, and returns exactly the
+/// bits `exp` would.
+#[derive(Debug, Clone, Copy)]
+struct ExpMemo {
+    key: u64,
+    value: f64,
+}
+
+impl ExpMemo {
+    fn new() -> Self {
+        // NaN bits as the sentinel key: exp(NaN) = NaN, so even a lookup
+        // with a NaN argument returns the right value.
+        ExpMemo {
+            key: f64::NAN.to_bits(),
+            value: f64::NAN,
+        }
+    }
+
+    /// `x.exp()`, memoised on the exact bit pattern of `x`.
+    fn exp(&mut self, x: f64) -> f64 {
+        let bits = x.to_bits();
+        if bits != self.key {
+            self.key = bits;
+            self.value = x.exp();
+        }
+        self.value
+    }
+}
 
 /// Per-task exponentially decayed load average on the 0–1024 scale.
 #[derive(Debug, Clone)]
@@ -41,7 +82,7 @@ impl LoadTracker {
         LoadTracker {
             load: 0.0,
             halflife_ms,
-            rate_per_ms: kernels::ewma_rate_per_ms(halflife_ms),
+            rate_per_ms: ewma_rate_per_ms(halflife_ms),
             last_update: start,
         }
     }
@@ -114,7 +155,7 @@ impl LoadSet {
             values: Vec::new(),
             last_update: Vec::new(),
             halflife_ms,
-            rate_per_ms: kernels::ewma_rate_per_ms(halflife_ms),
+            rate_per_ms: ewma_rate_per_ms(halflife_ms),
             memo: ExpMemo::new(),
         }
     }
@@ -168,14 +209,13 @@ impl LoadSet {
     ///
     /// `contribution(idx)` returns `Some(r)` to fold contribution `r`
     /// into tracker `idx` (exactly as `update(idx, now, r)` would) or
-    /// `None` to leave it untouched (sleeping/blocked tasks). One fused
-    /// pass over the contiguous lanes applies the
-    /// [`kernels::fused_decay_accumulate`] recurrence per active lane,
-    /// with the decay `exp` memoised: all lanes share the tick's `now`,
-    /// so every lane updated on the previous tick shares one elapsed
-    /// interval — and one transcendental — per tick. [`ExpMemo`] returns
-    /// the exact bits `exp` would, so results are bit-identical to
-    /// calling `update` per index.
+    /// `None` to leave it untouched (sleeping/blocked tasks). One pass
+    /// over the contiguous lanes applies the `update` recurrence per
+    /// active lane, with the decay `exp` memoised: all lanes share the
+    /// tick's `now`, so every lane updated on the previous tick shares
+    /// one elapsed interval — and one transcendental — per tick. The memo
+    /// returns the exact bits `exp` would, so results are bit-identical
+    /// to calling `update` per index.
     pub fn update_batch_with(
         &mut self,
         now: SimTime,
@@ -257,6 +297,21 @@ mod tests {
     use super::*;
     use bl_simcore::time::SimDuration;
     use proptest::prelude::*;
+
+    #[test]
+    fn exp_memo_matches_exp() {
+        let mut memo = ExpMemo::new();
+        for x in [-3.0, -0.5, 0.0, 0.25, -0.5, -0.5] {
+            assert_eq!(memo.exp(x).to_bits(), x.exp().to_bits());
+        }
+    }
+
+    #[test]
+    fn ewma_rate_inverts_halflife() {
+        let rate = ewma_rate_per_ms(32.0);
+        // One half-life of decay halves the value (within float rounding).
+        assert!(((32.0 * rate).exp() - 0.5).abs() < 1e-12);
+    }
 
     #[test]
     fn rises_toward_scale_under_full_load() {
@@ -440,6 +495,39 @@ mod tests {
                 t.update(now, r);
                 prop_assert!(t.value() >= -1e-9);
                 prop_assert!(t.value() <= LOAD_SCALE + 1e-9);
+            }
+        }
+
+        // Driving a LoadSet through `update_batch_with` must leave every
+        // lane bit-equal to per-index `update` calls with the same
+        // schedule, including lanes skipped on some steps.
+        #[test]
+        fn loadset_batch_matches_per_index(
+            n_lanes in 1usize..12,
+            halflife in 8.0f64..128.0,
+            steps in proptest::collection::vec(
+                (1u64..40, proptest::collection::vec(proptest::option::of(0.0f64..1.0), 12..13)),
+                1..60,
+            ),
+        ) {
+            let mut batch = LoadSet::new(halflife);
+            let mut scalar = LoadSet::new(halflife);
+            for _ in 0..n_lanes {
+                batch.push(SimTime::ZERO);
+                scalar.push(SimTime::ZERO);
+            }
+            let mut now = SimTime::ZERO;
+            for (dt_ms, contribs) in &steps {
+                now += SimDuration::from_millis(*dt_ms);
+                for (idx, c) in contribs.iter().enumerate().take(n_lanes) {
+                    if let Some(r) = c {
+                        scalar.update(idx, now, *r);
+                    }
+                }
+                batch.update_batch_with(now, |idx| contribs[idx]);
+                for (b, s) in batch.values().iter().zip(scalar.values()) {
+                    prop_assert_eq!(b.to_bits(), s.to_bits());
+                }
             }
         }
 

@@ -3,7 +3,6 @@
 use bl_platform::ids::{ClusterId, CoreKind};
 use bl_platform::state::PlatformState;
 use bl_platform::topology::Topology;
-use bl_simcore::kernels;
 use serde::{Deserialize, Serialize};
 
 /// Calibration constants of the power model. All power values in milliwatts;
@@ -107,7 +106,11 @@ impl PowerModel {
             debug_assert!((0.0..=1.5).contains(a), "activity out of range: {a}");
         }
         let dvvf = self.params.dyn_coeff_mw_per_ghz_v2[k] * v * v * f;
-        leak + kernels::relu_weighted_sum(online_activities, dvvf)
+        let mut dynamic = 0.0;
+        for &a in online_activities {
+            dynamic += dvvf * a.max(0.0);
+        }
+        leak + dynamic
     }
 
     /// Instantaneous full-system power in mW.
@@ -134,57 +137,6 @@ impl PowerModel {
         if let Some(scales) = idle_scales {
             debug_assert_eq!(scales.len(), topo.n_cpus(), "idle scales len mismatch");
         }
-        let mut total = self.params.base_mw
-            + if self.screen_on {
-                self.params.screen_mw
-            } else {
-                0.0
-            };
-        for c in topo.clusters() {
-            let k = PowerParams::kind_idx(c.core.kind);
-            let opp = c.core.opps.opp_at(state.cluster_freq_khz(c.id));
-            let v = opp.voltage_v();
-            let f = opp.freq_ghz();
-            // Hoisted per-lane factors — the scalar reference multiplies
-            // left-to-right, so these partial products are bit-equal to
-            // its per-iteration values.
-            let leak_v = self.params.core_idle_leak_mw_per_v[k] * v;
-            let dvvf = self.params.dyn_coeff_mw_per_ghz_v2[k] * v * v * f;
-            // One pass over the cluster's online lanes, streamed straight
-            // into the branch-free kernel in the same online-iteration
-            // order the reference sums in — no staging buffers.
-            let lanes = state.online_in(topo, c.id).map(|cpu| {
-                let cpu = cpu.0;
-                (activity[cpu], idle_scales.map_or(1.0, |s| s[cpu]))
-            });
-            let (mut cluster, all_deep, n) = kernels::mixed_idle_power_iter(lanes, leak_v, dvvf);
-            if n == 0 {
-                continue; // cluster fully hotplugged off
-            }
-            let cluster_leak = self.params.cluster_leak_mw_per_v[k] * v;
-            cluster += if all_deep && idle_scales.is_some() {
-                cluster_leak * 0.25
-            } else {
-                cluster_leak
-            };
-            total += cluster;
-        }
-        total
-    }
-
-    /// Scalar reference implementation of [`PowerModel::instant_mw_with_idle`]:
-    /// the original branchy per-CPU loop, kept as the oracle the kernel
-    /// path is differentially tested and benchmarked against. Results are
-    /// bit-identical to `instant_mw_with_idle` by construction (the
-    /// kernel path preserves this loop's association and summation
-    /// order); `tests/kernels.rs` and `repro --bench-kernels` enforce it.
-    pub fn instant_mw_with_idle_ref(
-        &self,
-        topo: &Topology,
-        state: &PlatformState,
-        activity: &[f64],
-        idle_scales: Option<&[f64]>,
-    ) -> f64 {
         let mut total = self.params.base_mw
             + if self.screen_on {
                 self.params.screen_mw
@@ -332,28 +284,27 @@ mod tests {
     }
 
     #[test]
-    fn kernel_path_matches_scalar_reference_bitwise() {
+    fn deep_idle_gates_cluster_leak_to_a_quarter() {
         let p = exynos5422();
-        let model = PowerModel::screen_on();
-        let n = p.topology.n_cpus();
-        let mut state = PlatformState::new(&p.topology);
-        state.set_cluster_freq(&p.topology, BIG_CLUSTER, 1_600_000);
-        // Mixed busy/shallow-idle/deep-idle lanes, plus a hotplugged core.
-        state
-            .apply_core_config(&p.topology, CoreConfig::new(3, 4))
-            .unwrap();
-        let activity: Vec<f64> = (0..n).map(|i| [0.0, 1.0, 0.35, 0.0][i % 4]).collect();
-        let scales: Vec<f64> = (0..n).map(|i| [0.1, 1.0, 1.0, 0.19][i % 4]).collect();
-        for idle in [None, Some(scales.as_slice())] {
-            let fast = model.instant_mw_with_idle(&p.topology, &state, &activity, idle);
-            let reference = model.instant_mw_with_idle_ref(&p.topology, &state, &activity, idle);
-            assert_eq!(
-                fast.to_bits(),
-                reference.to_bits(),
-                "idle={:?}: {fast} vs {reference}",
-                idle.is_some()
-            );
-        }
+        let model = PowerModel::screen_off();
+        let state = PlatformState::new(&p.topology);
+        let idle = vec![0.0; p.topology.n_cpus()];
+        let mut scales = vec![0.1; p.topology.n_cpus()];
+        let deep = model.instant_mw_with_idle(&p.topology, &state, &idle, Some(&scales));
+        // One little core at the 0.2 threshold counts as shallow, so the
+        // little cluster's shared leakage is no longer gated.
+        scales[0] = 0.2;
+        let shallow = model.instant_mw_with_idle(&p.topology, &state, &idle, Some(&scales));
+        let opps = &p.topology.cluster(LITTLE_CLUSTER).core.opps;
+        let v = opps
+            .opp_at(state.cluster_freq_khz(LITTLE_CLUSTER))
+            .voltage_v();
+        let core_step = model.params.core_idle_leak_mw_per_v[0] * v * 0.1;
+        let ungated = 0.75 * model.params.cluster_leak_mw_per_v[0] * v;
+        assert!(
+            (shallow - deep - core_step - ungated).abs() < 1e-9,
+            "deep {deep} mW, shallow {shallow} mW"
+        );
     }
 
     #[test]

@@ -18,7 +18,6 @@
 
 use serde::{Deserialize, Serialize};
 
-use bl_simcore::kernels;
 use bl_simcore::time::SimDuration;
 
 /// Calibration constants for one cluster's thermal node.
@@ -239,15 +238,11 @@ impl ThermalBank {
     /// (clearing it between reads) pays no allocation on the steady-state
     /// hot path — the common case appends nothing.
     ///
-    /// Each node's temperature integrates through [`kernels::rc_step`] —
-    /// the per-lane form of the `decay_toward` slice kernel, so the
-    /// association matches [`ClusterThermal::advance`] term for term —
-    /// with `T∞` and `exp(−dt/τ)` derived in the same fused pass that
-    /// re-evaluates the throttle. One loop, no staging buffers: real
-    /// platforms have 2–3 nodes, where a gather/integrate/threshold
-    /// split costs more than the `exp` calls it feeds.
-    /// `bank_matches_scalar_nodes_step_for_step` checks bit-identity
-    /// against [`ClusterThermal`] every step.
+    /// Each node integrates with the expression of
+    /// [`ClusterThermal::advance`], term for term, in the same pass that
+    /// re-evaluates its throttle. `bank_matches_scalar_nodes_step_for_step`
+    /// and `thermal_bank_matches_scalar_nodes` check bit-identity against
+    /// [`ClusterThermal`] every step.
     pub fn advance_all(&mut self, dt: SimDuration, power_w: &[f64], changed: &mut Vec<usize>) {
         debug_assert_eq!(power_w.len(), self.params.len());
         let dt_s = dt.as_secs_f64();
@@ -264,7 +259,7 @@ impl ThermalBank {
             let tau = p.r_c_per_w * p.c_j_per_c;
             let t_inf = p.ambient_c + pw.max(0.0) * p.r_c_per_w;
             let decay = (-dt_s / tau).exp();
-            *t = kernels::rc_step(*t, t_inf, decay);
+            *t = t_inf + (*t - t_inf) * decay;
             if step_throttle(th, *t, p) {
                 changed.push(i);
             }
@@ -308,6 +303,7 @@ fn step_throttle(throttled: &mut bool, temp_c: f64, p: &ThermalParams) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn hot_node() -> ClusterThermal {
         ClusterThermal::new(ThermalParams::exynos5422_big())
@@ -412,6 +408,59 @@ mod tests {
         for (i, n) in scalar.iter_mut().enumerate() {
             assert_eq!(bank.inject(i, 30.0), n.inject(30.0));
             assert_eq!(bank.temp_c(i), n.temp_c());
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        // The bank must track a vector of `ClusterThermal` nodes
+        // bit-for-bit through heating, trips, hysteresis release and
+        // cooldown.
+        #[test]
+        fn thermal_bank_matches_scalar_nodes(
+            n_nodes in 1usize..6,
+            steps in proptest::collection::vec(
+                (1u64..500, proptest::collection::vec(0.0f64..8.0, 6..7)),
+                1..80,
+            ),
+        ) {
+            let params: Vec<ThermalParams> = (0..n_nodes)
+                .map(|i| {
+                    if i % 2 == 0 {
+                        ThermalParams::exynos5422_big()
+                    } else {
+                        ThermalParams::exynos5422_little()
+                    }
+                })
+                .collect();
+            let mut scalar: Vec<ClusterThermal> =
+                params.iter().map(|p| ClusterThermal::new(*p)).collect();
+            let mut bank = ThermalBank::new(params);
+            let mut changed = Vec::new();
+            for (dt_ms, powers) in &steps {
+                let dt = SimDuration::from_millis(*dt_ms);
+                let powers = &powers[..n_nodes];
+                let mut scalar_changed = Vec::new();
+                for (i, node) in scalar.iter_mut().enumerate() {
+                    if node.advance(dt, powers[i]) {
+                        scalar_changed.push(i);
+                    }
+                }
+                changed.clear();
+                bank.advance_all(dt, powers, &mut changed);
+                prop_assert_eq!(&changed, &scalar_changed);
+                for (i, node) in scalar.iter().enumerate() {
+                    prop_assert_eq!(
+                        bank.temp_c(i).to_bits(),
+                        node.temp_c().to_bits(),
+                        "node {} temperature diverged",
+                        i
+                    );
+                    prop_assert_eq!(bank.is_throttled(i), node.is_throttled());
+                    prop_assert_eq!(bank.cap_khz(i), node.cap_khz());
+                }
+            }
         }
     }
 

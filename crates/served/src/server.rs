@@ -28,6 +28,7 @@ use crate::lifecycle::{Admission, BoardLimits, RunBoard, RunState};
 use crate::proto::{self, Reject, Request, SubmitOptions};
 use biglittle::{sweep, Scenario, SweepOptions};
 use bl_simcore::budget::CancelToken;
+use bl_simcore::durable::{self, STALE_AFTER};
 use bl_simcore::journal::{self, Journal};
 use bl_simcore::snapstore::clean_stale_snapshots;
 use serde_json::Value;
@@ -248,35 +249,15 @@ pub fn serve(cfg: ServeConfig) -> io::Result<i32> {
 
 /// Startup hygiene: sweep the debris a SIGKILLed predecessor may have
 /// left — stale snapshots, stale shard/journal artifacts, orphaned
-/// `.tmp` files in the state root — and say what was reclaimed. The age
-/// threshold honors the same override the shard layer uses, so chaos
-/// tests can force immediate cleanup.
+/// `.tmp` files in the state root — once older than
+/// [`durable::STALE_AFTER`], and say what was reclaimed.
 fn startup_hygiene(cfg: &ServeConfig) {
-    let stale_after = std::env::var(sweep::shard::STALE_ENV)
-        .ok()
-        .and_then(|v| v.parse::<u64>().ok())
-        .map_or(Duration::from_secs(24 * 3600), Duration::from_millis);
-    let mut snaps = 0;
-    if let Some(dir) = &cfg.snap_dir {
-        snaps = clean_stale_snapshots(dir, stale_after);
-    }
-    let artifacts = journal::clean_stale_artifacts(&cfg.journal_dir(), "", stale_after);
-    let mut tmps = 0;
-    if let Ok(entries) = std::fs::read_dir(&cfg.serve_dir) {
-        for e in entries.flatten() {
-            let p = e.path();
-            let is_tmp = p.extension().is_some_and(|x| x == "tmp");
-            let old = e
-                .metadata()
-                .and_then(|m| m.modified())
-                .ok()
-                .and_then(|t| t.elapsed().ok())
-                .is_some_and(|age| age >= stale_after);
-            if is_tmp && old && std::fs::remove_file(&p).is_ok() {
-                tmps += 1;
-            }
-        }
-    }
+    let snaps = cfg
+        .snap_dir
+        .as_deref()
+        .map_or(0, |dir| clean_stale_snapshots(dir, STALE_AFTER));
+    let artifacts = journal::clean_stale_artifacts(&cfg.journal_dir(), "", STALE_AFTER);
+    let tmps = durable::remove_stale(&cfg.serve_dir, STALE_AFTER, |name| name.ends_with(".tmp"));
     eprintln!(
         "serve hygiene: reclaimed {snaps} stale snapshot(s), {artifacts} stale journal \
          artifact(s), {tmps} orphaned tmp file(s)"
@@ -563,7 +544,7 @@ fn load_batch_file(path: &Path) -> Option<(Vec<Scenario>, SubmitOptions)> {
     Some((scenarios, options))
 }
 
-/// Writes the batch file write-ahead (tmp + fsync + rename), so an
+/// Writes the batch file write-ahead ([`durable::write_atomic`]), so an
 /// admitted run survives SIGKILL before its executor ever starts.
 fn store_batch_file(
     path: &Path,
@@ -592,17 +573,7 @@ fn store_batch_file(
         fields.push(("audit".into(), Value::Bool(true)));
     }
     let body = serde_json::to_string(&Value::Object(fields)).expect("batch serializes");
-    let tmp = path.with_extension("json.tmp");
-    {
-        let mut f = std::fs::File::create(&tmp)?;
-        f.write_all(body.as_bytes())?;
-        f.sync_all()?;
-    }
-    std::fs::rename(&tmp, path)?;
-    if let Some(dir) = path.parent() {
-        journal::fsync_dir(dir);
-    }
-    Ok(())
+    durable::write_atomic(path, body.as_bytes())
 }
 
 #[allow(clippy::too_many_arguments)]

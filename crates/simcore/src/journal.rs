@@ -4,24 +4,27 @@
 //! killed process can resume a batch without recomputing finished work.
 //! Durability model:
 //!
-//! * every **append rewrites the whole file through a temp file + atomic
-//!   rename** (then fsyncs the file and its directory), so readers — and a
-//!   process restarted after `SIGKILL` — always observe a complete,
-//!   prefix-consistent journal, never a torn write;
-//! * every record line is framed as `<16-hex FNV-1a> <payload>`; lines
-//!   whose checksum does not match (e.g. hand-edited or damaged storage)
-//!   are dropped on load instead of poisoning the resume.
+//! * every **append rewrites the whole file through
+//!   [`durable::write_atomic`]** (temp file, fsync, atomic rename,
+//!   directory fsync), so readers — and a process restarted after
+//!   `SIGKILL` — always observe a complete, prefix-consistent journal,
+//!   never a torn write;
+//! * every record line is a [`durable::frame`]
+//!   (`<16-hex FNV-1a> <payload>`); lines whose checksum does not match
+//!   (e.g. hand-edited or damaged storage) are dropped on load instead of
+//!   poisoning the resume.
 //!
 //! Journals are small (one line per scenario attempt/finish in a batch),
 //! so the rewrite-on-append cost is negligible next to a single
 //! simulation run.
 
+use crate::durable;
 use std::fs;
-use std::io::{self, Write as _};
+use std::io;
 use std::path::{Path, PathBuf};
 
 /// 64-bit FNV-1a over a byte slice — the workspace's standard content
-/// hash (cache keys, journal framing, batch keys).
+/// hash (cache keys, record frames, batch keys).
 pub fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for b in bytes {
@@ -29,15 +32,6 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
         h = h.wrapping_mul(0x0000_0100_0000_01B3);
     }
     h
-}
-
-/// Best-effort fsync of a directory so a just-renamed file inside it
-/// survives power loss on filesystems where rename alone is not durable.
-/// Failures are ignored (some platforms cannot fsync directories).
-pub fn fsync_dir(dir: &Path) {
-    if let Ok(f) = fs::File::open(dir) {
-        let _ = f.sync_all();
-    }
 }
 
 /// An append-only journal of checksummed text records.
@@ -65,13 +59,7 @@ impl Journal {
         }
         let mut records = Vec::new();
         if resume {
-            match fs::read_to_string(&path) {
-                Ok(text) => {
-                    records = text.lines().filter_map(unframe).collect();
-                }
-                Err(e) if e.kind() == io::ErrorKind::NotFound => {}
-                Err(e) => return Err(e),
-            }
+            records = Journal::load(&path)?;
         } else if path.exists() {
             // A stale journal entry path may even be a directory left by
             // outside interference; clear either form.
@@ -95,8 +83,8 @@ impl Journal {
     }
 
     /// Appends one record (newlines inside `payload` are rejected — one
-    /// record is one line) and makes it durable via temp file + rename +
-    /// directory fsync.
+    /// record is one line) and makes it durable through
+    /// [`durable::write_atomic`].
     ///
     /// # Errors
     ///
@@ -123,21 +111,8 @@ impl Journal {
             ));
         }
         self.records.extend(payloads.iter().cloned());
-        let mut text = String::new();
-        for r in &self.records {
-            text.push_str(&format!("{:016x} {r}\n", fnv1a(r.as_bytes())));
-        }
-        let tmp = self.path.with_extension("jsonl.tmp");
-        {
-            let mut f = fs::File::create(&tmp)?;
-            f.write_all(text.as_bytes())?;
-            f.sync_all()?;
-        }
-        fs::rename(&tmp, &self.path)?;
-        if let Some(dir) = self.path.parent() {
-            fsync_dir(dir);
-        }
-        Ok(())
+        let text: String = self.records.iter().map(|r| durable::frame(r)).collect();
+        durable::write_atomic(&self.path, text.as_bytes())
     }
 
     /// Reads the checksummed records of the journal at `path` without
@@ -151,8 +126,14 @@ impl Journal {
     ///
     /// Propagates I/O errors other than the file not existing.
     pub fn load(path: &Path) -> io::Result<Vec<String>> {
-        match fs::read_to_string(path) {
-            Ok(text) => Ok(text.lines().filter_map(unframe).collect()),
+        match fs::read(path) {
+            // Lossy decoding: a line with damaged UTF-8 fails its checksum
+            // and is dropped like any other corrupt line.
+            Ok(bytes) => Ok(String::from_utf8_lossy(&bytes)
+                .lines()
+                .filter_map(durable::unframe)
+                .map(str::to_string)
+                .collect()),
             Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(Vec::new()),
             Err(e) => Err(e),
         }
@@ -177,45 +158,14 @@ pub fn clean_stale_artifacts(
     current_batch: &str,
     older_than: std::time::Duration,
 ) -> usize {
-    let Ok(entries) = fs::read_dir(dir) else {
-        return 0;
-    };
     let protect = format!("{current_batch}.");
-    let mut removed = 0;
-    for entry in entries.flatten() {
-        let path = entry.path();
-        let Some(name) = path.file_name().and_then(|n| n.to_str()) else {
-            continue;
-        };
-        if name.starts_with(&protect) {
-            continue;
-        }
-        let is_shard_artifact = name.ends_with(".tmp")
-            || name.ends_with(".leases.json")
-            || name.ends_with(".batch.json")
-            || (name.ends_with(".jsonl") && name.contains(".worker-"));
-        if !is_shard_artifact {
-            continue;
-        }
-        let old_enough = entry
-            .metadata()
-            .and_then(|m| m.modified())
-            .ok()
-            .and_then(|t| t.elapsed().ok())
-            .is_some_and(|age| age >= older_than);
-        if old_enough && fs::remove_file(&path).is_ok() {
-            removed += 1;
-        }
-    }
-    removed
-}
-
-/// Validates one framed line, returning the payload when the checksum
-/// matches.
-fn unframe(line: &str) -> Option<String> {
-    let (sum, payload) = line.split_once(' ')?;
-    let expected = u64::from_str_radix(sum, 16).ok()?;
-    (sum.len() == 16 && fnv1a(payload.as_bytes()) == expected).then(|| payload.to_string())
+    durable::remove_stale(dir, older_than, |name| {
+        !name.starts_with(&protect)
+            && (name.ends_with(".tmp")
+                || name.ends_with(".leases.json")
+                || name.ends_with(".batch.json")
+                || (name.ends_with(".jsonl") && name.contains(".worker-")))
+    })
 }
 
 #[cfg(test)]

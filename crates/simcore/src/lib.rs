@@ -28,11 +28,11 @@
 
 pub mod audit;
 pub mod budget;
+pub mod durable;
 pub mod error;
 pub mod event;
 pub mod fault;
 pub mod journal;
-pub mod kernels;
 pub mod pool;
 pub mod rng;
 pub mod shard;

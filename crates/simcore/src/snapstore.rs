@@ -17,9 +17,9 @@
 //!
 //! ## On-disk format
 //!
-//! One file per snapshot at `<dir>/<key>.snap`, written with the same
-//! durability discipline as the sweep journal: temp file, fsync, atomic
-//! rename, directory fsync. The content is a single framed line
+//! One file per snapshot at `<dir>/<key>.snap`, written through
+//! [`durable::write_atomic`] like the sweep journal. The content is a
+//! single [`durable::frame`]d line
 //!
 //! ```text
 //! <16-hex FNV-1a of payload> <payload JSON>
@@ -37,12 +37,12 @@
 //! run). The in-memory tier caches *verified* parsed entries so repeated
 //! hydrations within one process skip the read + checksum + parse.
 
-use crate::journal::{fnv1a, fsync_dir};
+use crate::durable;
 use std::fs;
-use std::io::{self, Write as _};
+use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
+use std::time::Duration;
 
 /// Version tag embedded in every entry; bump on any incompatible change to
 /// the serialized simulation state so old stores read as misses, not as
@@ -99,8 +99,6 @@ pub struct SnapStore {
     /// cheaper than any map would be.
     lru: Mutex<Vec<SnapEntry>>,
     counters: Mutex<SnapStoreCounters>,
-    /// Uniquifies temp names when several threads publish concurrently.
-    tmp_seq: AtomicU64,
 }
 
 impl SnapStore {
@@ -121,7 +119,6 @@ impl SnapStore {
             capacity,
             lru: Mutex::new(Vec::new()),
             counters: Mutex::new(SnapStoreCounters::default()),
-            tmp_seq: AtomicU64::new(0),
         }
     }
 
@@ -144,14 +141,11 @@ impl SnapStore {
             return Some(hit);
         }
         let path = self.path_for(key);
-        let text = match fs::read_to_string(&path) {
-            Ok(t) => t,
-            Err(_) => {
-                self.counters.lock().unwrap().misses += 1;
-                return None;
-            }
+        let Ok(bytes) = fs::read(&path) else {
+            self.counters.lock().unwrap().misses += 1;
+            return None;
         };
-        match parse_entry(&text, key) {
+        match parse_entry(&bytes, key) {
             Some(entry) => {
                 self.lru_put(entry.clone());
                 self.counters.lock().unwrap().hits += 1;
@@ -169,8 +163,8 @@ impl SnapStore {
         }
     }
 
-    /// Writes `entry` durably under its own key (temp file + fsync +
-    /// atomic rename + directory fsync) and caches it in the memory tier.
+    /// Writes `entry` durably under its own key
+    /// ([`durable::write_atomic`]) and caches it in the memory tier.
     ///
     /// # Errors
     ///
@@ -179,19 +173,11 @@ impl SnapStore {
     pub fn publish(&self, entry: &SnapEntry) -> io::Result<()> {
         let payload = serde_json::to_string(entry)
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-        let line = format!("{:016x} {payload}\n", fnv1a(payload.as_bytes()));
         fs::create_dir_all(&self.dir)?;
-        let n = self.tmp_seq.fetch_add(1, Ordering::Relaxed);
-        let tmp = self
-            .dir
-            .join(format!("{}.{}-{n}.tmp", entry.key, std::process::id()));
-        {
-            let mut f = fs::File::create(&tmp)?;
-            f.write_all(line.as_bytes())?;
-            f.sync_all()?;
-        }
-        fs::rename(&tmp, self.path_for(&entry.key))?;
-        fsync_dir(&self.dir);
+        durable::write_atomic(
+            &self.path_for(&entry.key),
+            durable::frame(&payload).as_bytes(),
+        )?;
         self.lru_put(entry.clone());
         self.counters.lock().unwrap().published += 1;
         Ok(())
@@ -208,21 +194,9 @@ impl SnapStore {
     /// how many files were deleted.
     pub fn clear(&self) -> usize {
         self.lru.lock().unwrap().clear();
-        let Ok(entries) = fs::read_dir(&self.dir) else {
-            return 0;
-        };
-        let mut removed = 0;
-        for entry in entries.flatten() {
-            let path = entry.path();
-            let Some(name) = path.file_name().and_then(|n| n.to_str()) else {
-                continue;
-            };
-            if (name.ends_with(".snap") || name.ends_with(".tmp")) && fs::remove_file(&path).is_ok()
-            {
-                removed += 1;
-            }
-        }
-        removed
+        durable::remove_stale(&self.dir, Duration::ZERO, |name| {
+            name.ends_with(".snap") || name.ends_with(".tmp")
+        })
     }
 
     /// Snapshot of the handle's outcome counters.
@@ -254,13 +228,8 @@ impl SnapStore {
 
 /// Validates one store file's content against the key it was looked up
 /// under. Returns `None` for anything that cannot be trusted.
-fn parse_entry(text: &str, key: &str) -> Option<SnapEntry> {
-    let line = text.lines().next()?;
-    let (sum, payload) = line.split_once(' ')?;
-    let expected = u64::from_str_radix(sum, 16).ok()?;
-    if sum.len() != 16 || fnv1a(payload.as_bytes()) != expected {
-        return None;
-    }
+fn parse_entry(bytes: &[u8], key: &str) -> Option<SnapEntry> {
+    let payload = durable::unframe(std::str::from_utf8(bytes).ok()?)?;
     let entry: SnapEntry = serde_json::from_str(payload).ok()?;
     (entry.version == SNAP_FORMAT_VERSION && entry.key == key).then_some(entry)
 }
@@ -270,40 +239,18 @@ fn parse_entry(text: &str, key: &str) -> Option<SnapEntry> {
 /// younger than `older_than`. Returns how many files were removed. All
 /// I/O failures are tolerated — hygiene never kills the run it tidies
 /// up after.
-pub fn clean_stale_snapshots(dir: &Path, older_than: std::time::Duration) -> usize {
-    let Ok(entries) = fs::read_dir(dir) else {
-        return 0;
-    };
-    let mut removed = 0;
-    for entry in entries.flatten() {
-        let path = entry.path();
-        let Some(name) = path.file_name().and_then(|n| n.to_str()) else {
-            continue;
-        };
-        let orphaned_snap = name.ends_with(".snap")
-            && !name
-                .strip_suffix(".snap")
-                .is_some_and(|k| k.len() == 16 && k.bytes().all(|b| b.is_ascii_hexdigit()));
-        if !(name.ends_with(".tmp") || orphaned_snap) {
-            continue;
-        }
-        let old_enough = entry
-            .metadata()
-            .and_then(|m| m.modified())
-            .ok()
-            .and_then(|t| t.elapsed().ok())
-            .is_some_and(|age| age >= older_than);
-        if old_enough && fs::remove_file(&path).is_ok() {
-            removed += 1;
-        }
-    }
-    removed
+pub fn clean_stale_snapshots(dir: &Path, older_than: Duration) -> usize {
+    durable::remove_stale(dir, older_than, |name| {
+        let orphaned_snap = name
+            .strip_suffix(".snap")
+            .is_some_and(|k| !(k.len() == 16 && k.bytes().all(|b| b.is_ascii_hexdigit())));
+        name.ends_with(".tmp") || orphaned_snap
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::time::Duration;
 
     fn temp_store(name: &str) -> SnapStore {
         let dir =
@@ -375,8 +322,7 @@ mod tests {
         e.version = SNAP_FORMAT_VERSION + 1;
         // Hand-frame it so the checksum is valid but the version is foreign.
         let payload = serde_json::to_string(&e).unwrap();
-        let line = format!("{:016x} {payload}\n", fnv1a(payload.as_bytes()));
-        fs::write(store.path_for(&e.key), line).unwrap();
+        fs::write(store.path_for(&e.key), durable::frame(&payload)).unwrap();
         assert_eq!(store.load(&e.key), None);
         assert!(!store.path_for(&e.key).exists());
     }
