@@ -374,6 +374,55 @@ fn malformed_requests_draw_typed_rejections_and_spare_the_connection() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+#[test]
+fn fresh_connections_are_accepted_without_waiting_on_a_poll() {
+    let dir = temp_dir("accept");
+    let socket = dir.join("serve.sock");
+    let state = dir.join("state");
+    let mut daemon = spawn_daemon(&socket, &state, &[]);
+    wait_for_socket(&socket);
+
+    // An accept loop that polled would hold each connection until its
+    // next poll; 20 round trips must not add up to even one poll each.
+    let started = Instant::now();
+    for i in 0..20 {
+        let mut conn = LineConn {
+            stream: UnixStream::connect(&socket).expect("connect"),
+            buf: Vec::new(),
+        };
+        conn.stream
+            .write_all(b"{\"op\":\"ping\"}\n")
+            .expect("send ping");
+        let answer = read_line(&mut conn, Duration::from_secs(5))
+            .unwrap_or_else(|| panic!("no answer to ping {i}"));
+        assert!(answer.contains("\"pong\""), "ping {i} answered {answer}");
+    }
+    let elapsed = started.elapsed();
+    assert!(
+        elapsed < Duration::from_millis(250),
+        "20 ping round trips on fresh connections took {elapsed:?}"
+    );
+
+    // Drain still wakes the blocked accept loop and the daemon exits 0.
+    let status = repro()
+        .args(["submit", "--socket", socket.to_str().unwrap(), "--drain"])
+        .stdout(Stdio::null())
+        .stderr(Stdio::null())
+        .status()
+        .expect("spawn drain");
+    assert!(status.success(), "drain request must succeed");
+    let deadline = Instant::now() + Duration::from_secs(30);
+    let exit = loop {
+        if let Some(exit) = daemon.0.try_wait().expect("poll daemon") {
+            break exit;
+        }
+        assert!(Instant::now() < deadline, "daemon did not exit after drain");
+        std::thread::sleep(Duration::from_millis(10));
+    };
+    assert!(exit.success(), "drained daemon exited with {exit}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Tiny deterministic scenarios for the socket-level tests.
 fn demo_scenarios(seed: u64, salt: u64, sim_ms: u64) -> Vec<Value> {
     use biglittle::{Scenario, SystemConfig};

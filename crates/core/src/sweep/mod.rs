@@ -25,11 +25,14 @@
 //!   whole batch dying. Configuration errors are never retried.
 //! * **Crash-only journaling.** With [`SweepOptions::journal_dir`] set,
 //!   every completed scenario is appended to a checksummed write-ahead
-//!   journal (`<journal_dir>/<batch-key>.jsonl`, rewritten through
-//!   [`bl_simcore::durable::write_atomic`] on every append). A
-//!   killed sweep re-run with [`SweepOptions::resume`] replays completed
-//!   scenarios from the journal bit-identically and only simulates the
-//!   remainder.
+//!   journal (`<journal_dir>/<batch-key>.jsonl`; each append writes only
+//!   its own frame and `sync_data`s it through
+//!   [`bl_simcore::durable::append_synced`]). A killed sweep re-run with
+//!   [`SweepOptions::resume`] cuts the torn tail a crash mid-append may
+//!   leave, replays completed scenarios from the journal bit-identically
+//!   and only simulates the remainder. Whole-journal rewrites (the
+//!   sharded fleet's merge) go through
+//!   [`bl_simcore::journal::Journal::replace`], which is atomic.
 //! * **Result caching with integrity.** With a cache directory configured,
 //!   each scenario's serialized form plus the sweep's behavior-relevant
 //!   options (see [`cache_key_with`]) is hashed into a key under

@@ -496,9 +496,9 @@ fn worker_journal_paths(dir: &Path, bkey: &str) -> Vec<PathBuf> {
 }
 
 /// Folds the merged journal plus every per-worker journal into deduped
-/// entries, in batch order, and rewrites the merged journal to exactly
-/// that state. On success the absorbed per-worker journals are deleted;
-/// on I/O failure they are kept so nothing is lost.
+/// entries, in batch order, and atomically replaces the merged journal
+/// with exactly that state. On success the absorbed per-worker journals
+/// are deleted; on I/O failure they are kept so nothing is lost.
 fn merge_journals(
     dir: &Path,
     bkey: &str,
@@ -518,10 +518,7 @@ fn merge_journals(
         .iter()
         .filter_map(|k| entries.get(k).map(|e| e.raw.clone()))
         .collect();
-    let mut merged =
-        Journal::open(&merged_path, false).map_err(|e| format!("rewriting merged journal: {e}"))?;
-    merged
-        .append_all(&ordered)
+    Journal::replace(&merged_path, ordered)
         .map_err(|e| format!("rewriting merged journal: {e}"))?;
     for p in &worker_paths {
         let _ = std::fs::remove_file(p);

@@ -764,6 +764,47 @@ mod tests {
         }
     }
 
+    /// Every truncation of a valid submit line and every byte XORed with
+    /// 0x01 and with 0x80, decoded lossily and trimmed as the daemon's
+    /// reader does, parses to a request or a typed rejection with a
+    /// detail — never a panic.
+    #[test]
+    fn every_truncation_and_bit_flip_of_a_submit_line_is_typed() {
+        let sc: Value = serde_json::from_str(&scenario_json()).unwrap();
+        let opts = SubmitOptions {
+            deadline_ms: Some(60_000),
+            max_events: Some(5_000_000),
+            retries: 2,
+            audit: true,
+        };
+        let line = submit_line("ΔT client", std::slice::from_ref(&sc), &opts);
+        assert!(parse_request(&line).is_ok());
+        let clean = line.as_bytes();
+        let mut variants: Vec<Vec<u8>> = (0..clean.len()).map(|n| clean[..n].to_vec()).collect();
+        for i in 0..clean.len() {
+            for mask in [0x01, 0x80] {
+                let mut bytes = clean.to_vec();
+                bytes[i] ^= mask;
+                variants.push(bytes);
+            }
+        }
+        for bytes in &variants {
+            let text = String::from_utf8_lossy(bytes);
+            let text = text.trim();
+            if text.is_empty() {
+                continue;
+            }
+            let parsed = std::panic::catch_unwind(|| parse_request(text))
+                .unwrap_or_else(|_| panic!("parse_request panicked on {text:?}"));
+            if let Err((reason, detail)) = parsed {
+                assert!(
+                    !detail.is_empty(),
+                    "{reason:?} for {text:?} carries no detail"
+                );
+            }
+        }
+    }
+
     #[test]
     fn event_lines_round_trip() {
         let cases = vec![

@@ -9,16 +9,18 @@
 //!
 //! Threading model (std only, no async runtime):
 //!
-//! * an **accept loop** thread hands each connection a reader and a
+//! * an **accept loop** thread blocks in `accept`, so a connection is
+//!   served the instant it arrives, and hands each one a reader and a
 //!   writer thread;
 //! * **reader** threads parse request lines (typed rejections answered
 //!   in place, so a malformed line never blocks the scheduler) and
 //!   forward work to the scheduler;
 //! * one **scheduler** thread owns the [`RunBoard`] and service journal,
 //!   performs admission, fair-share leasing, progress polling (the batch
-//!   journal file doubles as the progress feed — the engine's atomic
-//!   rewrite-on-append means a poller always reads a consistent file),
-//!   heartbeats, wedge quarantine and drain;
+//!   journal file doubles as the progress feed — every record is a
+//!   checksummed frame, so a record the engine is still appending fails
+//!   its frame and reads as not yet appended), heartbeats, wedge
+//!   quarantine and drain;
 //! * one **executor** thread per active run calls
 //!   [`biglittle::sweep::run_cancelable`] with journaling + resume on,
 //!   so a restarted daemon re-running an adopted batch replays finished
@@ -162,10 +164,17 @@ struct FinishedRun {
     stats: Value,
 }
 
+/// What a connection's writer thread is handed: a line to send, or a
+/// flush request it acknowledges once every earlier line is written.
+enum Out {
+    Line(String),
+    Flush(Sender<()>),
+}
+
 enum Cmd {
     Connected {
         conn: u64,
-        writer: Sender<String>,
+        writer: Sender<Out>,
     },
     Disconnected {
         conn: u64,
@@ -197,6 +206,9 @@ struct RunMeta {
 }
 
 /// Runs the daemon until drain completes. Returns the process exit code.
+///
+/// Run it in a process of its own: if drain cannot wake the accept
+/// thread, that thread is left running until the process exits.
 pub fn serve(cfg: ServeConfig) -> io::Result<i32> {
     install_sigterm_handler();
     std::fs::create_dir_all(&cfg.serve_dir)?;
@@ -211,28 +223,31 @@ pub fn serve(cfg: ServeConfig) -> io::Result<i32> {
         let _ = std::fs::create_dir_all(dir);
     }
     let listener = UnixListener::bind(&cfg.socket)?;
-    listener.set_nonblocking(true)?;
     eprintln!("serve: listening on {}", cfg.socket.display());
 
     let (tx, rx) = channel::<Cmd>();
     let shutdown = std::sync::Arc::new(AtomicBool::new(false));
 
-    // Accept loop: nonblocking polls so it can observe shutdown.
+    // Accept loop: blocks in `accept`; drain wakes it with one connect
+    // (below), after which it sees the flag and exits.
     let accept_shutdown = shutdown.clone();
     let accept_tx = tx.clone();
     let accept_cfg = cfg.clone();
     let accept_handle = thread::spawn(move || {
         let mut next_conn: u64 = 0;
-        while !accept_shutdown.load(Ordering::SeqCst) {
-            match listener.accept() {
+        loop {
+            let accepted = listener.accept();
+            if accept_shutdown.load(Ordering::SeqCst) {
+                return;
+            }
+            match accepted {
                 Ok((stream, _)) => {
                     let conn = next_conn;
                     next_conn += 1;
                     spawn_connection(conn, stream, &accept_cfg, accept_tx.clone());
                 }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    thread::sleep(Duration::from_millis(25));
-                }
+                // A real accept failure (e.g. out of descriptors): back
+                // off instead of spinning.
                 Err(_) => thread::sleep(Duration::from_millis(25)),
             }
         }
@@ -240,8 +255,13 @@ pub fn serve(cfg: ServeConfig) -> io::Result<i32> {
 
     let code = scheduler_loop(&cfg, tx, rx);
 
+    // If the wake-up connect fails, the accept thread is left detached
+    // rather than joined, so drain never hangs; the process it runs in
+    // is about to exit.
     shutdown.store(true, Ordering::SeqCst);
-    let _ = accept_handle.join();
+    if UnixStream::connect(&cfg.socket).is_ok() {
+        let _ = accept_handle.join();
+    }
     let _ = std::fs::remove_file(&cfg.socket);
     eprintln!("serve: drained, exiting");
     Ok(code)
@@ -274,7 +294,7 @@ fn scheduler_loop(cfg: &ServeConfig, tx: Sender<Cmd>, rx: std::sync::mpsc::Recei
     let start = Instant::now();
     let mut board = RunBoard::new(cfg.limits);
     let mut meta: HashMap<String, RunMeta> = HashMap::new();
-    let mut writers: HashMap<u64, Sender<String>> = HashMap::new();
+    let mut writers: HashMap<u64, Sender<Out>> = HashMap::new();
     let mut subs: HashMap<String, Vec<u64>> = HashMap::new();
     let mut service = match Journal::open(cfg.serve_dir.join("serve.runs.jsonl"), true) {
         Ok(j) => j,
@@ -414,6 +434,7 @@ fn scheduler_loop(cfg: &ServeConfig, tx: Sender<Cmd>, rx: std::sync::mpsc::Recei
         }
 
         if draining && board.active() == 0 {
+            flush_writers(&writers);
             return 0;
         }
     }
@@ -489,17 +510,16 @@ fn adopt_runs(
             }
         }
     }
-    // Compact: the folded view replaces the full history, bounding the
-    // journal across restarts (every append rewrites the whole file).
+    // Compact: the folded view atomically replaces the full history,
+    // bounding the journal across restarts.
     let compacted: Vec<String> = latest
         .iter()
         .map(|(run, (state, client, n))| run_record(run, state, client, *n))
         .collect();
     if compacted.len() < service.records().len() {
-        if let Ok(mut fresh) = Journal::open(service.path().to_path_buf(), false) {
-            if fresh.append_all(&compacted).is_ok() {
-                *service = fresh;
-            }
+        match Journal::replace(service.path(), compacted) {
+            Ok(fresh) => *service = fresh,
+            Err(e) => eprintln!("serve: service journal compaction failed: {e}"),
         }
     }
     if adopted > 0 {
@@ -518,11 +538,16 @@ fn run_record(run: &str, state: &str, client: &str, n: u64) -> String {
     .expect("record serializes")
 }
 
-/// Persists one lifecycle transition. Journal failures are logged, not
-/// fatal: the daemon degrades to serving without durability rather than
-/// dying mid-request.
+/// Persists one lifecycle transition (see [`journal_records`]).
 fn journal_transition(service: &mut Journal, run: &str, state: &str, client: &str, n: u64) {
-    if let Err(e) = service.append(&run_record(run, state, client, n)) {
+    journal_records(service, &[run_record(run, state, client, n)]);
+}
+
+/// Persists lifecycle records in one append. Journal failures are
+/// logged, not fatal: the daemon degrades to serving without durability
+/// rather than dying mid-request.
+fn journal_records(service: &mut Journal, records: &[String]) {
+    if let Err(e) = service.append_all(records) {
         eprintln!("serve: service journal append failed: {e}");
     }
 }
@@ -582,7 +607,7 @@ fn handle_submit(
     board: &mut RunBoard,
     meta: &mut HashMap<String, RunMeta>,
     subs: &mut HashMap<String, Vec<u64>>,
-    writers: &HashMap<u64, Sender<String>>,
+    writers: &HashMap<u64, Sender<Out>>,
     service: &mut Journal,
     conn: u64,
     client: String,
@@ -612,8 +637,9 @@ fn handle_submit(
             if let Err(e) = store_batch_file(&cfg.batch_path(&run), &scenarios, &options) {
                 eprintln!("serve: cannot persist batch for run {run}: {e}");
             }
-            journal_transition(service, &run, RunState::Submitted.as_str(), &client, n);
-            journal_transition(service, &run, RunState::Admitted.as_str(), &client, n);
+            let records = [RunState::Submitted, RunState::Admitted]
+                .map(|state| run_record(&run, state.as_str(), &client, n));
+            journal_records(service, &records);
             meta.insert(
                 run.clone(),
                 RunMeta {
@@ -738,7 +764,7 @@ fn finish_run(
     board: &mut RunBoard,
     meta: &mut HashMap<String, RunMeta>,
     subs: &mut HashMap<String, Vec<u64>>,
-    writers: &mut HashMap<u64, Sender<String>>,
+    writers: &mut HashMap<u64, Sender<Out>>,
     service: &mut Journal,
     f: FinishedRun,
     observed_events: &mut u64,
@@ -800,15 +826,16 @@ fn finish_run(
 }
 
 /// Folds fresh sweep-journal lines into progress counts, checkpoint
-/// events and the throughput signal. The sweep journal's atomic
-/// rewrite-on-append makes concurrent reads consistent by construction.
+/// events and the throughput signal. Reading while the engine appends
+/// needs no lock: a half-written last record fails its frame and is
+/// picked up by a later poll.
 #[allow(clippy::too_many_arguments)]
 fn poll_progress(
     cfg: &ServeConfig,
     board: &mut RunBoard,
     meta: &mut HashMap<String, RunMeta>,
     subs: &HashMap<String, Vec<u64>>,
-    writers: &mut HashMap<u64, Sender<String>>,
+    writers: &mut HashMap<u64, Sender<Out>>,
     service: &mut Journal,
     observed_events: &mut u64,
     start: Instant,
@@ -904,10 +931,29 @@ fn status_line(board: &RunBoard, clients: usize, eps: f64, draining: bool) -> St
     .expect("status serializes")
 }
 
-fn send_to(writers: &HashMap<u64, Sender<String>>, conn: u64, line: &str) {
+fn send_to(writers: &HashMap<u64, Sender<Out>>, conn: u64, line: &str) {
     if let Some(w) = writers.get(&conn) {
-        let _ = w.send(line.to_string());
+        let _ = w.send(Out::Line(line.to_string()));
     }
+}
+
+/// Waits until every connection's writer has written the lines queued so
+/// far, so a drained daemon does not exit with a client's last answers
+/// (`draining`, a final run's results) still in memory. Bounded: a client
+/// that stopped reading costs at most a second.
+fn flush_writers(writers: &HashMap<u64, Sender<Out>>) {
+    let (done_tx, done_rx) = channel();
+    for w in writers.values() {
+        let _ = w.send(Out::Flush(done_tx.clone()));
+    }
+    // Each writer drops its sender once it has acknowledged, or when it
+    // dies; with ours gone too, the channel closes when all are through.
+    drop(done_tx);
+    let deadline = Instant::now() + Duration::from_secs(1);
+    while done_rx
+        .recv_timeout(deadline.saturating_duration_since(Instant::now()))
+        .is_ok()
+    {}
 }
 
 /// Sends a line to every subscriber of `run`, pruning writers whose
@@ -915,14 +961,14 @@ fn send_to(writers: &HashMap<u64, Sender<String>>, conn: u64, line: &str) {
 /// listening", never to an error.
 fn broadcast(
     subs: &HashMap<String, Vec<u64>>,
-    writers: &mut HashMap<u64, Sender<String>>,
+    writers: &mut HashMap<u64, Sender<Out>>,
     run: &str,
     line: &str,
 ) {
     if let Some(conns) = subs.get(run) {
         for conn in conns {
             if let Some(w) = writers.get(conn) {
-                if w.send(line.to_string()).is_err() {
+                if w.send(Out::Line(line.to_string())).is_err() {
                     writers.remove(conn);
                 }
             }
@@ -933,7 +979,7 @@ fn broadcast(
 // ---- per-connection I/O ----------------------------------------------------
 
 fn spawn_connection(conn: u64, stream: UnixStream, cfg: &ServeConfig, tx: Sender<Cmd>) {
-    let (wtx, wrx) = channel::<String>();
+    let (wtx, wrx) = channel::<Out>();
     if tx
         .send(Cmd::Connected {
             conn,
@@ -951,12 +997,19 @@ fn spawn_connection(conn: u64, stream: UnixStream, cfg: &ServeConfig, tx: Sender
     };
     thread::spawn(move || {
         let mut out = io::BufWriter::new(wstream);
-        for line in wrx {
-            if out.write_all(line.as_bytes()).is_err()
-                || out.write_all(b"\n").is_err()
-                || out.flush().is_err()
-            {
-                break;
+        for msg in wrx {
+            match msg {
+                Out::Line(line) => {
+                    if out.write_all(line.as_bytes()).is_err()
+                        || out.write_all(b"\n").is_err()
+                        || out.flush().is_err()
+                    {
+                        break;
+                    }
+                }
+                Out::Flush(done) => {
+                    let _ = done.send(());
+                }
             }
         }
     });
@@ -979,7 +1032,7 @@ fn reader_loop(
     mut stream: UnixStream,
     cfg: &ServeConfig,
     tx: &Sender<Cmd>,
-    writer: &Sender<String>,
+    writer: &Sender<Out>,
 ) {
     const POLL: Duration = Duration::from_millis(100);
     let _ = stream.set_read_timeout(Some(POLL));
@@ -1004,7 +1057,7 @@ fn reader_loop(
             }
             match proto::parse_request(text) {
                 Ok(Request::Ping) => {
-                    let _ = writer.send(proto::pong_line());
+                    let _ = writer.send(Out::Line(proto::pong_line()));
                 }
                 Ok(Request::Status) => {
                     if tx.send(Cmd::Status { conn }).is_err() {
@@ -1034,15 +1087,15 @@ fn reader_loop(
                     }
                 }
                 Err((reject, detail)) => {
-                    let _ = writer.send(proto::rejected_line(reject, &detail));
+                    let _ = writer.send(Out::Line(proto::rejected_line(reject, &detail)));
                 }
             }
         }
         if !discarding && buf.len() > cfg.max_line_bytes {
-            let _ = writer.send(proto::rejected_line(
+            let _ = writer.send(Out::Line(proto::rejected_line(
                 Reject::TooLarge,
                 &format!("request line exceeds {} bytes", cfg.max_line_bytes),
-            ));
+            )));
             buf.clear();
             discarding = true;
         }

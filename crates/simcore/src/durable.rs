@@ -1,12 +1,14 @@
-//! Crash-safe files: the one durable write, the one checksummed record
-//! frame, and the one sweep of debris that killed writers leave behind.
+//! Crash-safe files: the one durable write, the one durable append, the
+//! one checksummed record frame, and the one sweep of debris that killed
+//! writers leave behind.
 //!
 //! Every file the workspace must find intact after `SIGKILL` or power
-//! loss — sweep journals, `.snap` entries, result-cache entries, the
-//! serve daemon's write-ahead batch files, the shard layer's batch file
-//! and lease snapshot — is written through [`write_atomic`]. Records whose
-//! integrity a reader must check are framed by [`frame`] and verified by
-//! [`unframe`]:
+//! loss — `.snap` entries, result-cache entries, the serve daemon's
+//! write-ahead batch files, the shard layer's batch file and lease
+//! snapshot, and whole-journal rewrites — is written through
+//! [`write_atomic`]. Journal records are added through [`append_synced`].
+//! Records whose integrity a reader must check are framed by [`frame`]
+//! and verified by [`unframe`]:
 //!
 //! ```text
 //! <16-hex FNV-1a of payload> <payload>\n
@@ -69,11 +71,65 @@ pub fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
         let _ = fs::remove_file(&tmp);
         return Err(e);
     }
+    sync_dir(path);
+    Ok(())
+}
+
+/// Appends `bytes` to the file at `path` and makes them durable before
+/// returning: one `write_all` to an `O_APPEND` handle, then one
+/// `sync_data`.
+///
+/// `handle` caches that handle; the first append opens it, creating the
+/// file if needed, and an append that creates the file also fsyncs the
+/// directory, so the new name survives power loss. On a write or sync
+/// error the file is cut back to its length before the append, so a
+/// failed append leaves no fragment for the next one to glue onto. The
+/// parent directory must exist.
+///
+/// A concurrent reader may see an append half-written; callers that
+/// frame their records ([`frame`]) read such a last line as not yet
+/// appended, because its frame fails.
+///
+/// # Errors
+///
+/// Propagates I/O failures opening, writing or syncing the file.
+pub fn append_synced(handle: &mut Option<fs::File>, path: &Path, bytes: &[u8]) -> io::Result<()> {
+    let file = match handle {
+        Some(file) => file,
+        None => {
+            let new = fs::OpenOptions::new()
+                .append(true)
+                .create_new(true)
+                .open(path);
+            let file = match new {
+                Ok(file) => {
+                    sync_dir(path);
+                    file
+                }
+                Err(e) if e.kind() == io::ErrorKind::AlreadyExists => {
+                    fs::OpenOptions::new().append(true).open(path)?
+                }
+                Err(e) => return Err(e),
+            };
+            handle.insert(file)
+        }
+    };
+    let before = file.metadata()?.len();
+    let appended = file.write_all(bytes).and_then(|()| file.sync_data());
+    if appended.is_err() {
+        let _ = file.set_len(before);
+    }
+    appended
+}
+
+/// Fsyncs the directory holding `path`, so a create or rename there
+/// survives power loss (best effort: some platforms cannot fsync a
+/// directory).
+fn sync_dir(path: &Path) {
     let dir = path.parent().filter(|d| !d.as_os_str().is_empty());
     if let Ok(d) = fs::File::open(dir.unwrap_or(Path::new("."))) {
         let _ = d.sync_all();
     }
-    Ok(())
 }
 
 /// Frames one record as `<16-hex FNV-1a of payload> <payload>\n`.
@@ -197,6 +253,20 @@ mod tests {
         assert!(write_atomic(&path, b"payload").is_err());
         assert_eq!(names(&dir), ["entry.json"], "the temp file was removed");
         assert!(path.is_dir());
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn appends_extend_the_file_through_one_handle_or_a_fresh_one() {
+        let dir = temp_dir("append");
+        let path = dir.join("log.jsonl");
+        let mut handle = None;
+        append_synced(&mut handle, &path, b"a\n").unwrap();
+        append_synced(&mut handle, &path, b"b\n").unwrap();
+        append_synced(&mut None, &path, b"c\n").unwrap();
+        assert_eq!(fs::read(&path).unwrap(), b"a\nb\nc\n");
+        assert_eq!(names(&dir), ["log.jsonl"]);
+        assert!(append_synced(&mut None, &dir, b"x").is_err());
         let _ = fs::remove_dir_all(&dir);
     }
 

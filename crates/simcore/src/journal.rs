@@ -4,19 +4,23 @@
 //! killed process can resume a batch without recomputing finished work.
 //! Durability model:
 //!
-//! * every **append rewrites the whole file through
-//!   [`durable::write_atomic`]** (temp file, fsync, atomic rename,
-//!   directory fsync), so readers — and a process restarted after
-//!   `SIGKILL` — always observe a complete, prefix-consistent journal,
-//!   never a torn write;
 //! * every record line is a [`durable::frame`]
 //!   (`<16-hex FNV-1a> <payload>`); lines whose checksum does not match
 //!   (e.g. hand-edited or damaged storage) are dropped on load instead of
-//!   poisoning the resume.
-//!
-//! Journals are small (one line per scenario attempt/finish in a batch),
-//! so the rewrite-on-append cost is negligible next to a single
-//! simulation run.
+//!   poisoning the resume;
+//! * an **append writes only the new frames** through
+//!   [`durable::append_synced`]: one write to an `O_APPEND` handle, then
+//!   `sync_data`, with the directory fsynced by the append that creates
+//!   the file. A failed append is cut back off the file;
+//! * a crash mid-append can leave a **torn tail** (bytes after the last
+//!   newline). [`Journal::open`] with `resume` cuts it before loading, so
+//!   a new record never glues onto a fragment;
+//! * a reader running alongside the writer ([`Journal::load`]) may catch
+//!   an append half-written: its last line fails the frame and reads as
+//!   not yet appended, so no lock is needed;
+//! * a **whole-file rewrite** (compaction, fleet merge) goes through
+//!   [`Journal::replace`], i.e. [`durable::write_atomic`], so a crash
+//!   leaves the old journal or the new one, never neither.
 
 use crate::durable;
 use std::fs;
@@ -39,19 +43,24 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
 pub struct Journal {
     path: PathBuf,
     records: Vec<String>,
+    /// The `O_APPEND` handle, opened by the first append.
+    file: Option<fs::File>,
 }
 
 impl Journal {
     /// Opens the journal at `path`.
     ///
     /// With `resume = false` any existing journal is discarded and the
-    /// batch starts fresh. With `resume = true` existing records are
-    /// loaded (corrupt lines dropped) and subsequent appends extend them.
+    /// batch starts fresh. With `resume = true` a torn tail (bytes after
+    /// the last newline, left by an append a crash cut short) is cut off,
+    /// the remaining records are loaded (corrupt lines dropped) and
+    /// subsequent appends extend them.
     ///
     /// # Errors
     ///
-    /// Propagates I/O errors creating the parent directory or removing a
-    /// stale journal; a missing file on resume is not an error.
+    /// Propagates I/O errors creating the parent directory, reading or
+    /// cutting the journal, or removing a stale journal; a missing file
+    /// on resume is not an error.
     pub fn open(path: impl Into<PathBuf>, resume: bool) -> io::Result<Journal> {
         let path = path.into();
         if let Some(dir) = path.parent() {
@@ -59,7 +68,20 @@ impl Journal {
         }
         let mut records = Vec::new();
         if resume {
-            records = Journal::load(&path)?;
+            match fs::read(&path) {
+                Ok(bytes) => {
+                    let intact = bytes.iter().rposition(|&b| b == b'\n').map_or(0, |i| i + 1);
+                    if intact < bytes.len() {
+                        fs::OpenOptions::new()
+                            .write(true)
+                            .open(&path)?
+                            .set_len(intact as u64)?;
+                    }
+                    records = parse(&bytes[..intact]);
+                }
+                Err(e) if e.kind() == io::ErrorKind::NotFound => {}
+                Err(e) => return Err(e),
+            }
         } else if path.exists() {
             // A stale journal entry path may even be a directory left by
             // outside interference; clear either form.
@@ -69,7 +91,32 @@ impl Journal {
                 fs::remove_file(&path)?;
             }
         }
-        Ok(Journal { path, records })
+        Ok(Journal {
+            path,
+            records,
+            file: None,
+        })
+    }
+
+    /// Replaces the journal at `path` with exactly `records`, atomically
+    /// ([`durable::write_atomic`]): a crash leaves the old journal or the
+    /// new one, never neither. This is the rewrite for compaction and
+    /// merges; appends go through [`Journal::append_all`].
+    ///
+    /// # Errors
+    ///
+    /// Propagates I/O failures (the parent directory must exist);
+    /// `InvalidInput` for a multi-line record, in which case nothing is
+    /// written.
+    pub fn replace(path: impl Into<PathBuf>, records: Vec<String>) -> io::Result<Journal> {
+        let path = path.into();
+        let text = frame_all(&records)?;
+        durable::write_atomic(&path, text.as_bytes())?;
+        Ok(Journal {
+            path,
+            records,
+            file: None,
+        })
     }
 
     /// The records currently in the journal, in append order.
@@ -84,7 +131,7 @@ impl Journal {
 
     /// Appends one record (newlines inside `payload` are rejected — one
     /// record is one line) and makes it durable through
-    /// [`durable::write_atomic`].
+    /// [`durable::append_synced`].
     ///
     /// # Errors
     ///
@@ -93,51 +140,65 @@ impl Journal {
         self.append_all(std::slice::from_ref(&payload.to_string()))
     }
 
-    /// Appends a batch of records with a **single** rewrite + fsync — the
-    /// bulk form the sharded-sweep coordinator uses when merging hundreds
-    /// of per-worker records into the batch journal, where one durable
-    /// write per record would cost O(records²) I/O.
+    /// Appends a batch of records with a **single** write and
+    /// `sync_data`, so records that belong together (a lifecycle step's
+    /// transitions) cost one sync.
     ///
-    /// All-or-nothing: if any payload is multi-line, nothing is appended.
+    /// All-or-nothing: if any payload is multi-line, or the write or sync
+    /// fails, nothing is appended.
     ///
     /// # Errors
     ///
     /// Propagates I/O failures; `InvalidInput` for a multi-line payload.
     pub fn append_all(&mut self, payloads: &[String]) -> io::Result<()> {
-        if payloads.iter().any(|p| p.contains('\n')) {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                "journal records must be single lines",
-            ));
-        }
+        let text = frame_all(payloads)?;
+        durable::append_synced(&mut self.file, &self.path, text.as_bytes())?;
         self.records.extend(payloads.iter().cloned());
-        let text: String = self.records.iter().map(|r| durable::frame(r)).collect();
-        durable::write_atomic(&self.path, text.as_bytes())
+        Ok(())
     }
 
     /// Reads the checksummed records of the journal at `path` without
     /// opening it for writing — how the sharded-sweep coordinator merges
-    /// the journals of workers it did not itself write. Corrupt lines are
-    /// dropped exactly as in [`Journal::open`]; a missing file reads as
-    /// empty (a worker that died before its first append journaled
-    /// nothing, which is not an error).
+    /// the journals of workers it did not itself write, and how the serve
+    /// daemon polls progress. Corrupt lines are dropped exactly as in
+    /// [`Journal::open`], but nothing is cut, so the writer may be
+    /// appending meanwhile; a missing file reads as empty (a worker that
+    /// died before its first append journaled nothing, which is not an
+    /// error).
     ///
     /// # Errors
     ///
     /// Propagates I/O errors other than the file not existing.
     pub fn load(path: &Path) -> io::Result<Vec<String>> {
         match fs::read(path) {
-            // Lossy decoding: a line with damaged UTF-8 fails its checksum
-            // and is dropped like any other corrupt line.
-            Ok(bytes) => Ok(String::from_utf8_lossy(&bytes)
-                .lines()
-                .filter_map(durable::unframe)
-                .map(str::to_string)
-                .collect()),
+            Ok(bytes) => Ok(parse(&bytes)),
             Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(Vec::new()),
             Err(e) => Err(e),
         }
     }
+}
+
+/// Frames `payloads` into one buffer, or `InvalidInput` if any is
+/// multi-line (one record is one line).
+fn frame_all(payloads: &[String]) -> io::Result<String> {
+    if payloads.iter().any(|p| p.contains('\n')) {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidInput,
+            "journal records must be single lines",
+        ));
+    }
+    Ok(payloads.iter().map(|p| durable::frame(p)).collect())
+}
+
+/// The payloads of the intact frames in `bytes`. Lossy decoding: a line
+/// with damaged UTF-8 fails its checksum and is dropped like any other
+/// corrupt line.
+fn parse(bytes: &[u8]) -> Vec<String> {
+    String::from_utf8_lossy(bytes)
+        .lines()
+        .filter_map(durable::unframe)
+        .map(str::to_string)
+        .collect()
 }
 
 /// Removes stale sharded-sweep artifacts from a journal directory:
@@ -258,6 +319,54 @@ mod tests {
         assert!(Journal::load(&path.with_extension("absent"))
             .unwrap()
             .is_empty());
+    }
+
+    #[test]
+    fn torn_tail_is_cut_before_the_next_append() {
+        let path = tmp_path("torn");
+        let records = ["first", "second ΔT", "third"];
+        Journal::open(&path, false)
+            .unwrap()
+            .append_all(&records.map(String::from))
+            .unwrap();
+        let clean = fs::read(&path).unwrap();
+        for n in 0..=clean.len() {
+            fs::write(&path, &clean[..n]).unwrap();
+            let mut j = Journal::open(&path, true).unwrap();
+            j.append("next").unwrap();
+            // A record is intact when its newline survived the cut.
+            let intact = clean[..n].iter().filter(|&&b| b == b'\n').count();
+            let mut want = records[..intact].to_vec();
+            want.push("next");
+            assert_eq!(j.records(), want, "truncated to {n} bytes");
+            assert_eq!(
+                Journal::load(&path).unwrap(),
+                want,
+                "truncated to {n} bytes"
+            );
+        }
+    }
+
+    #[test]
+    fn replace_rewrites_to_the_bytes_appends_would_leave() {
+        let path = tmp_path("replace");
+        let records: Vec<String> = ["a", "b", "c"].map(String::from).to_vec();
+        let mut j = Journal::open(&path, false).unwrap();
+        for r in &records {
+            j.append(r).unwrap();
+        }
+        let appended = fs::read(&path).unwrap();
+        j.append("stale").unwrap();
+
+        assert!(Journal::replace(&path, vec!["two\nlines".to_string()]).is_err());
+        assert_eq!(Journal::load(&path).unwrap(), ["a", "b", "c", "stale"]);
+        let mut j = Journal::replace(&path, records.clone()).unwrap();
+        assert_eq!(j.records(), records);
+        assert_eq!(fs::read(&path).unwrap(), appended);
+        j.append("d").unwrap();
+        assert_eq!(Journal::load(&path).unwrap(), ["a", "b", "c", "d"]);
+        let dir = path.parent().unwrap();
+        assert_eq!(fs::read_dir(dir).unwrap().count(), 1, "no temp file left");
     }
 
     #[test]
