@@ -15,7 +15,7 @@
 //! repro --retries 2         # retry failed scenarios with a reseed
 //! repro --audit             # runtime invariant auditor on every scenario
 //! repro --resume            # replay completed scenarios from the journal
-//! repro --no-journal        # disable the write-ahead sweep journal
+//! repro --no-journal        # disable the sweep journal
 //! repro --workers 4         # shard the batch across 4 worker processes
 //! repro --lease-ms 10000    # lease TTL before a silent worker is reclaimed
 //! repro --heartbeat-ms 1000 # worker heartbeat cadence

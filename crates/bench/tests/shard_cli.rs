@@ -1,7 +1,8 @@
 //! Cross-process tests for the sharded sweep: a worker fleet must produce
 //! byte-identical reports to a serial run, survive wedged workers through
-//! lease expiry, resume fleet-wide after the *coordinator* is SIGKILLed,
-//! and pass the chaos smoke that kills a worker mid-batch.
+//! lease expiry, resume fleet-wide after the *coordinator* is SIGKILLed —
+//! also when a power cut took any of the files it never synced — and pass
+//! the chaos smoke that kills a worker mid-batch.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -141,15 +142,11 @@ fn wedged_worker_lease_expires_and_batch_completes() {
     let _ = std::fs::remove_dir_all(&cwd);
 }
 
-#[test]
-fn coordinator_sigkill_then_fleet_resume_is_byte_identical() {
-    let reference = serial_reference("coord-kill-ref");
-
-    // Victim fleet: worker 1 wedges under a long lease so the batch is
-    // guaranteed to still be in flight when the coordinator is SIGKILLed,
-    // while the healthy workers publish completed ranges to their
-    // journals first.
-    let cwd = temp_cwd("coord-kill");
+/// Starts the demo sweep on a 3-worker fleet in `cwd` and SIGKILLs the
+/// coordinator once a worker has journaled a result. Worker 1 wedges under
+/// a long lease, so the batch is guaranteed to still be in flight at the
+/// kill, while the healthy workers publish completed ranges first.
+fn kill_fleet_mid_batch(cwd: &Path) {
     let mut child = repro()
         .args([
             "--demo-sweep",
@@ -163,13 +160,13 @@ fn coordinator_sigkill_then_fleet_resume_is_byte_identical() {
             "100",
         ])
         .env("BL_SHARD_TEST_WEDGE_WORKER", "1")
-        .current_dir(&cwd)
+        .current_dir(cwd)
         .stderr(std::process::Stdio::null())
         .spawn()
         .expect("spawn victim fleet sweep");
     let poll_deadline = Instant::now() + Duration::from_secs(120);
     loop {
-        if journal_done_records(&cwd) >= 1 {
+        if journal_done_records(cwd) >= 1 {
             child.kill().expect("kill coordinator");
             let _ = child.wait();
             break;
@@ -189,12 +186,13 @@ fn coordinator_sigkill_then_fleet_resume_is_byte_identical() {
         "killed mid-batch, before the report was written"
     );
     // The orphaned workers see stdin EOF and exit on their own; give them
-    // a moment so the resume below reads settled journals.
+    // a moment so what follows reads settled journals.
     std::thread::sleep(Duration::from_secs(1));
+}
 
-    // Fleet-wide resume: completed ranges are absorbed from the dead
-    // fleet's per-worker journals, the remainder re-runs (no wedge this
-    // time), and the report matches the serial reference byte for byte.
+/// Resumes the demo sweep on a 3-worker fleet in `cwd`; returns the
+/// report bytes and the coordinator's stderr.
+fn resume_fleet(cwd: &Path) -> (Vec<u8>, String) {
     let output = repro()
         .args([
             "--demo-sweep",
@@ -204,20 +202,29 @@ fn coordinator_sigkill_then_fleet_resume_is_byte_identical() {
             "3",
             "--resume",
         ])
-        .current_dir(&cwd)
+        .current_dir(cwd)
         .output()
         .expect("spawn resume fleet sweep");
-    assert!(
-        output.status.success(),
-        "fleet resume failed:\n{}",
-        String::from_utf8_lossy(&output.stderr)
-    );
-    let resumed = std::fs::read(cwd.join("out.json")).expect("resumed report exists");
+    let stderr = String::from_utf8_lossy(&output.stderr).into_owned();
+    assert!(output.status.success(), "fleet resume failed:\n{stderr}");
+    let report = std::fs::read(cwd.join("out.json")).expect("resumed report exists");
+    (report, stderr)
+}
+
+#[test]
+fn coordinator_sigkill_then_fleet_resume_is_byte_identical() {
+    let reference = serial_reference("coord-kill-ref");
+    let cwd = temp_cwd("coord-kill");
+    kill_fleet_mid_batch(&cwd);
+
+    // Fleet-wide resume: completed ranges are absorbed from the dead
+    // fleet's per-worker journals, the remainder re-runs (no wedge this
+    // time), and the report matches the serial reference byte for byte.
+    let (resumed, stderr) = resume_fleet(&cwd);
     assert_eq!(
         resumed, reference,
         "fleet-resumed report differs from the serial reference"
     );
-    let stderr = String::from_utf8_lossy(&output.stderr);
     let resumed_count = stderr
         .split(" scenarios, ")
         .nth(1)
@@ -228,6 +235,50 @@ fn coordinator_sigkill_then_fleet_resume_is_byte_identical() {
         resumed_count >= 1,
         "at least one scenario must be absorbed from the dead fleet's journals:\n{stderr}"
     );
+    let _ = std::fs::remove_dir_all(&cwd);
+}
+
+#[test]
+fn fleet_resume_reproduces_the_serial_bytes_whatever_a_cut_left() {
+    let reference = serial_reference("cut-ref");
+    let cwd = temp_cwd("cut");
+    kill_fleet_mid_batch(&cwd);
+    let results = cwd.join("results");
+    let mut written = Vec::new();
+    let mut dirs = vec![results.clone()];
+    while let Some(dir) = dirs.pop() {
+        for path in std::fs::read_dir(&dir).unwrap().flatten().map(|e| e.path()) {
+            if path.is_dir() {
+                dirs.push(path);
+            } else {
+                let bytes = std::fs::read(&path).unwrap();
+                written.push((path, bytes));
+            }
+        }
+    }
+    assert!(written.len() >= 2, "the dead fleet left journals behind");
+
+    // Nothing the fleet writes is synced, so a power cut may leave each of
+    // its files absent, empty or cut at a record boundary. Every file gets
+    // each treatment in one of three resumes.
+    for turn in 0..3 {
+        let _ = std::fs::remove_dir_all(&results);
+        let _ = std::fs::remove_file(cwd.join("out.json"));
+        for (i, (path, bytes)) in written.iter().enumerate() {
+            let kept: &[u8] = match (i + turn) % 3 {
+                0 => continue,
+                1 => &[],
+                _ => {
+                    let ends: Vec<usize> =
+                        (0..bytes.len()).filter(|&j| bytes[j] == b'\n').collect();
+                    &bytes[..ends.len().checked_sub(2).map_or(0, |j| ends[j] + 1)]
+                }
+            };
+            std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+            std::fs::write(path, kept).unwrap();
+        }
+        assert_eq!(resume_fleet(&cwd).0, reference, "turn {turn}");
+    }
     let _ = std::fs::remove_dir_all(&cwd);
 }
 

@@ -1,5 +1,5 @@
 //! Cross-process supervision tests for the `repro` binary: a sweep killed
-//! with SIGKILL mid-batch must resume from its write-ahead journal to a
+//! with SIGKILL mid-batch must resume from its journal to a
 //! byte-identical report, and the chaos smoke must exit 0 while reporting
 //! the batch as degraded.
 

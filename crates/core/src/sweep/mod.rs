@@ -24,22 +24,24 @@
 //!   completes, and [`SweepOutcome::degraded`] is raised instead of the
 //!   whole batch dying. Configuration errors are never retried.
 //! * **Crash-only journaling.** With [`SweepOptions::journal_dir`] set,
-//!   every completed scenario is appended to a checksummed write-ahead
-//!   journal (`<journal_dir>/<batch-key>.jsonl`; each append writes only
-//!   its own frame and `sync_data`s it through
-//!   [`bl_simcore::durable::append_synced`]). A killed sweep re-run with
-//!   [`SweepOptions::resume`] cuts the torn tail a crash mid-append may
-//!   leave, replays completed scenarios from the journal bit-identically
-//!   and only simulates the remainder. Whole-journal rewrites (the
-//!   sharded fleet's merge) go through
+//!   every settled scenario is appended to a checksummed journal
+//!   (`<journal_dir>/<batch-key>.jsonl`) as one `done` or `err` record.
+//!   Each append writes only its own frame and is derived state
+//!   ([`bl_simcore::durable::Class::Derived`]): never synced, because a
+//!   record a power cut loses is a scenario re-simulated to the same
+//!   bytes, while `SIGKILL` loses no completed write. A killed sweep
+//!   re-run with [`SweepOptions::resume`] cuts the torn tail a crash
+//!   mid-append may leave, replays completed scenarios from the journal
+//!   bit-identically and only simulates the remainder. Whole-journal
+//!   rewrites (the sharded fleet's merge) go through
 //!   [`bl_simcore::journal::Journal::replace`], which is atomic.
 //! * **Result caching with integrity.** With a cache directory configured,
 //!   each scenario's serialized form plus the sweep's behavior-relevant
 //!   options (see [`cache_key_with`]) is hashed into a key under
 //!   `results/.cache/`. Entries are [`bl_simcore::durable::frame`]d (an
-//!   FNV-1a checksum over the payload) and written atomically; corrupt or
-//!   truncated entries are detected, deleted and recomputed (self-healing)
-//!   instead of poisoning downstream results.
+//!   FNV-1a checksum over the payload) and replaced atomically as derived
+//!   state; corrupt, truncated or empty entries are detected, deleted and
+//!   recomputed (self-healing) instead of poisoning downstream results.
 //! * **Prefix sharing.** Scenarios carrying a warm-up split point (see
 //!   [`Scenario::warmup`]) whose prefixes serialize identically are
 //!   executed as a *fork group*: the shared prefix is simulated once,
@@ -58,7 +60,7 @@ use crate::result::RunResult;
 use crate::scenario::Scenario;
 use crate::sim::SimSnapshot;
 use bl_simcore::budget::{CancelToken, RunBudget};
-use bl_simcore::durable;
+use bl_simcore::durable::{self, Class};
 use bl_simcore::error::SimError;
 use bl_simcore::journal::{fnv1a, Journal};
 use bl_simcore::pool;
@@ -77,7 +79,7 @@ pub mod shard;
 /// The cache directory the `bench` binary uses by default.
 pub const DEFAULT_CACHE_DIR: &str = "results/.cache";
 
-/// The write-ahead journal directory the `bench` binary uses by default.
+/// The sweep journal directory the `bench` binary uses by default.
 pub const DEFAULT_JOURNAL_DIR: &str = "results/.sweep-journal";
 
 /// The persistent snapshot store directory the `bench` binary uses by
@@ -110,7 +112,7 @@ pub struct SweepOptions {
     /// Forces the runtime invariant auditor on for every scenario in the
     /// batch (see [`crate::SystemConfig::with_audit`]).
     pub audit: bool,
-    /// Write-ahead journal directory; `None` disables journaling.
+    /// Sweep journal directory; `None` disables journaling.
     pub journal_dir: Option<PathBuf>,
     /// Replay scenarios already completed in the batch's journal instead of
     /// re-simulating them (bit-identical: the journaled `RunResult` is
@@ -220,7 +222,7 @@ impl SweepOptions {
         self
     }
 
-    /// Enables the write-ahead sweep journal under `dir`.
+    /// Enables the sweep journal under `dir`.
     pub fn journaled(mut self, dir: impl Into<PathBuf>) -> Self {
         self.journal_dir = Some(dir.into());
         self
@@ -829,9 +831,6 @@ pub(crate) fn supervise(
             wall_ms: start.elapsed().as_secs_f64() * 1e3,
         };
     }
-    // Write-ahead: announce the scenario before running it, so a resumed
-    // sweep can tell "in flight when killed" from "never started".
-    journal_append(env.journal, start_record(index, key, &sc.label));
     let cache_path = opts
         .cache_dir
         .as_deref()
@@ -1555,7 +1554,7 @@ pub fn batch_key_for(scenarios: &[Scenario], opts: &SweepOptions) -> String {
 
 // ---- journal ---------------------------------------------------------------
 
-/// Opens the batch's write-ahead journal when journaling is configured.
+/// Opens the batch's journal when journaling is configured.
 /// Open failures degrade to "no journal": the sweep itself must never die
 /// on supervision I/O.
 fn open_journal(opts: &SweepOptions, keys: &[String]) -> Option<Mutex<Journal>> {
@@ -1694,19 +1693,9 @@ fn journal_append(journal: Option<&Mutex<Journal>>, payload: String) {
         if let Ok(mut j) = j.lock() {
             // Journal failures are tolerated: supervision I/O must never
             // kill the sweep it protects.
-            let _ = j.append(&payload);
+            let _ = j.append_all(Class::Derived, &[payload]);
         }
     }
-}
-
-fn start_record(index: usize, key: &str, label: &str) -> String {
-    let v = Value::Object(vec![
-        ("ev".to_string(), Value::String("start".to_string())),
-        ("index".to_string(), Value::UInt(index as u64)),
-        ("key".to_string(), Value::String(key.to_string())),
-        ("label".to_string(), Value::String(label.to_string())),
-    ]);
-    serde_json::to_string(&v).expect("journal record serialization is infallible")
 }
 
 fn done_record(
@@ -1776,12 +1765,12 @@ fn cache_read_checked(path: &Path) -> Option<RunResult> {
     parsed
 }
 
-/// Writes a framed result entry through [`durable::write_atomic`], so
-/// concurrent readers never observe a partial entry and the entry
-/// survives a crash. Failures are ignored — including the cache path
-/// being occupied by a directory or the cache directory by a regular
-/// file — because the cache is an optimization, never a correctness
-/// dependency.
+/// Writes a framed result entry through [`durable::replace`], so
+/// concurrent readers never observe a partial entry. The entry is derived
+/// state: a power cut may lose it, and the next reader recomputes it.
+/// Failures are ignored — including the cache path being occupied by a
+/// directory or the cache directory by a regular file — because the
+/// cache is an optimization, never a correctness dependency.
 fn cache_write(path: &Path, result: &RunResult) {
     let Some(dir) = path.parent() else { return };
     if std::fs::create_dir_all(dir).is_err() {
@@ -1790,7 +1779,7 @@ fn cache_write(path: &Path, result: &RunResult) {
     let Ok(json) = serde_json::to_string(result) else {
         return;
     };
-    let _ = durable::write_atomic(path, durable::frame(&json).as_bytes());
+    let _ = durable::replace(Class::Derived, path, durable::frame(&json).as_bytes());
 }
 
 #[cfg(test)]
@@ -2002,7 +1991,7 @@ mod tests {
         let path = dir.join("batch.jsonl");
         Journal::open(&path, false)
             .unwrap()
-            .append_all(&records.map(String::from))
+            .append_all(Class::Derived, &records)
             .unwrap();
         let clean = std::fs::read(&path).unwrap();
         let newlines: Vec<usize> = (0..clean.len()).filter(|&i| clean[i] == b'\n').collect();

@@ -29,7 +29,10 @@
 //!
 //! Results never travel over the pipes — only protocol lines do — so a
 //! torn pipe can lose at most liveness, never data: everything a worker
-//! completed is already fsynced in its journal.
+//! completed is already written to its journal. Every file the fleet
+//! writes is derived state ([`durable::Class::Derived`], never synced): a
+//! power cut may leave any of them absent, empty or cut at a record
+//! boundary, and `--resume` re-runs whatever was lost to the same bytes.
 
 use std::collections::{HashMap, HashSet};
 use std::io::{BufRead, BufReader, Write as _};
@@ -40,7 +43,7 @@ use std::sync::{mpsc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 use bl_simcore::budget::CancelToken;
-use bl_simcore::durable;
+use bl_simcore::durable::{self, Class};
 use bl_simcore::error::SimError;
 use bl_simcore::journal::{self, Journal};
 use bl_simcore::shard::{partition, FromWorker, LeaseBoard, RangeId, ToWorker, WorkerId};
@@ -330,7 +333,7 @@ fn run_worker(spec: &WorkerSpec) -> Result<(), String> {
     let snap = *snap_tally.lock().expect("snapshot tally poisoned");
     if snap.trunk_runs + snap.forks + snap.hydrated + snap.published > 0 {
         if let Ok(mut j) = journal.lock() {
-            let _ = j.append(&snapstats_record(&snap));
+            let _ = j.append_all(Class::Derived, &[snapstats_record(&snap)]);
         }
     }
     Ok(())
@@ -518,7 +521,7 @@ fn merge_journals(
         .iter()
         .filter_map(|k| entries.get(k).map(|e| e.raw.clone()))
         .collect();
-    Journal::replace(&merged_path, ordered)
+    Journal::replace(Class::Derived, &merged_path, ordered)
         .map_err(|e| format!("rewriting merged journal: {e}"))?;
     for p in &worker_paths {
         let _ = std::fs::remove_file(p);
@@ -543,7 +546,11 @@ fn write_lease_snapshot(dir: &Path, bkey: &str, board: &LeaseBoard) {
     let Ok(json) = serde_json::to_string(&v) else {
         return;
     };
-    let _ = durable::write_atomic(&dir.join(format!("{bkey}.leases.json")), json.as_bytes());
+    let _ = durable::replace(
+        Class::Derived,
+        &dir.join(format!("{bkey}.leases.json")),
+        json.as_bytes(),
+    );
 }
 
 /// A [`SweepOutcome`] where setup failed before any worker ran: every
@@ -656,7 +663,7 @@ fn run_sharded_inner(
     let batch_file = dir.join(format!("{bkey}.batch.json"));
     let batch_json = serde_json::to_string(&scenarios.to_vec())
         .map_err(|e| SimError::config(format!("serializing batch: {e:?}")))?;
-    durable::write_atomic(&batch_file, batch_json.as_bytes())
+    durable::replace(Class::Derived, &batch_file, batch_json.as_bytes())
         .map_err(|e| io_err("writing batch file", e))?;
 
     // Fine-grained ranges (≈4 per worker) keep re-lease losses small.

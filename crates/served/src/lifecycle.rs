@@ -9,14 +9,14 @@
 //! The lifecycle:
 //!
 //! ```text
-//! submitted → admitted → leased → running → complete
-//!                                        ↘ quarantined
+//! admitted → leased → running → complete
+//!                             ↘ quarantined
 //! ```
 //!
-//! `submitted` is the wire-level receipt, `admitted` means the run passed
-//! admission control and its batch is persisted, `leased` means an
-//! executor owns it, `running` means it has made observable progress
-//! (its sweep journal exists), and the two terminal states record how it
+//! `admitted` means the run passed admission control and the daemon has
+//! synced its admission record, batch included: the one promise it
+//! makes. `leased` means an executor owns it, `running` means it has
+//! settled its first scenario, and the two terminal states record how it
 //! ended. Terminal runs may be resubmitted: the engine's journal replay
 //! makes the re-run cheap and byte-identical.
 
@@ -26,9 +26,8 @@ use std::collections::{HashMap, VecDeque};
 /// One run's lifecycle state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RunState {
-    /// Received and validated, admission pending.
-    Submitted,
-    /// Admitted and queued; its batch file is persisted.
+    /// Admitted and queued; its admission record, carrying the batch, is
+    /// synced.
     Admitted,
     /// Handed to an executor, no progress observed yet.
     Leased,
@@ -45,7 +44,6 @@ impl RunState {
     /// The journal/wire rendering.
     pub fn as_str(self) -> &'static str {
         match self {
-            RunState::Submitted => "submitted",
             RunState::Admitted => "admitted",
             RunState::Leased => "leased",
             RunState::Running => "running",
@@ -57,7 +55,6 @@ impl RunState {
     /// Parses a journal/wire rendering.
     pub fn parse(s: &str) -> Option<RunState> {
         Some(match s {
-            "submitted" => RunState::Submitted,
             "admitted" => RunState::Admitted,
             "leased" => RunState::Leased,
             "running" => RunState::Running,
@@ -229,6 +226,15 @@ impl RunBoard {
             return Err(Reject::Overloaded);
         }
         let position = self.queued() as u64;
+        self.adopt(run, client, total, now_ms);
+        Ok(Admission::Queued { position })
+    }
+
+    /// Queues a run a restarted daemon adopts from its journal. The run
+    /// was admitted before, so no admission limit applies: a crash with a
+    /// full queue and active runs leaves more open runs than the queue
+    /// holds, and every one of them must still run.
+    pub fn adopt(&mut self, run: &str, client: &str, total: usize, now_ms: u64) {
         self.runs.insert(
             run.to_string(),
             RunEntry {
@@ -248,7 +254,6 @@ impl RunBoard {
                 self.queues.push((client.to_string(), q));
             }
         }
-        Ok(Admission::Queued { position })
     }
 
     /// Picks the next run to execute, fair-share: a round-robin cursor
@@ -294,17 +299,6 @@ impl RunBoard {
         advanced
     }
 
-    /// Marks a leased run as running without a progress count (its sweep
-    /// journal appeared).
-    pub fn mark_running(&mut self, run: &str, now_ms: u64) {
-        if let Some(e) = self.runs.get_mut(run) {
-            if e.state == RunState::Leased {
-                e.state = RunState::Running;
-                e.last_progress_ms = now_ms;
-            }
-        }
-    }
-
     /// Terminal transition: the run finished.
     pub fn complete(&mut self, run: &str) {
         if let Some(e) = self.runs.get_mut(run) {
@@ -315,13 +309,17 @@ impl RunBoard {
         }
     }
 
-    /// Terminal transition: the run was cancelled whole.
+    /// Terminal transition: the run was cancelled whole, or could not be
+    /// re-run. A queued run leaves the queue.
     pub fn quarantine(&mut self, run: &str) {
         if let Some(e) = self.runs.get_mut(run) {
             if !e.state.is_terminal() {
                 e.state = RunState::Quarantined;
                 self.quarantined_runs += 1;
             }
+        }
+        for (_, q) in &mut self.queues {
+            q.retain(|r| r != run);
         }
     }
 
@@ -401,6 +399,28 @@ mod tests {
             b.submit("r1", "a", 6, 3).unwrap(),
             Admission::Queued { position: 0 }
         );
+    }
+
+    #[test]
+    fn adoption_passes_admission_limits_and_quarantine_dequeues() {
+        let mut b = RunBoard::new(limits(1, 1, 1));
+        for run in ["r0", "r1", "r2"] {
+            b.adopt(run, "a", 4, 0);
+        }
+        assert_eq!(
+            b.queued(),
+            3,
+            "adopted runs pass max_queued and max_pending"
+        );
+        b.quarantine("r1");
+        assert_eq!(b.queued(), 2);
+        let mut order = Vec::new();
+        while let Some(run) = b.start_next(1) {
+            b.complete(&run);
+            order.push(run);
+        }
+        assert_eq!(order, ["r0", "r2"], "a quarantined run is never leased");
+        assert_eq!(b.quarantined_runs(), 1);
     }
 
     #[test]

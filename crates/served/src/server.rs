@@ -1,11 +1,17 @@
 //! The serve daemon: accepts scenario batches over a Unix-socket
 //! JSON-lines protocol, multiplexes them onto the sweep engine, and
-//! streams progress — built crash-only. Every lifecycle transition is
-//! persisted through the checksummed service journal before it takes
-//! effect, batches are persisted write-ahead at admission, and the sweep
-//! engine's own batch journals carry the results; SIGKILL at any instant
-//! therefore loses nothing a restart (plus a client resubmission) cannot
-//! recover byte-identically.
+//! streams progress — built crash-only. The daemon makes one promise: a
+//! client that reads `admitted` gets its run finished, even if it never
+//! comes back. So admission is one synced append to the checksummed
+//! service journal (`serve.runs.jsonl`), and that record carries the
+//! batch itself. Everything else is derived state, written and never
+//! synced: the other lifecycle records, the sweep engine's batch
+//! journals that carry the results, and snapshot-store entries. A power
+//! cut may lose any of it, and a restart re-derives it: the daemon
+//! adopts every admitted run from the journal and re-runs what was lost
+//! to identical bytes. SIGKILL loses nothing, since the kernel keeps
+//! every completed write; a restart plus a client resubmission recovers
+//! byte-identically either way.
 //!
 //! Threading model (std only, no async runtime):
 //!
@@ -30,14 +36,14 @@ use crate::lifecycle::{Admission, BoardLimits, RunBoard, RunState};
 use crate::proto::{self, Reject, Request, SubmitOptions};
 use biglittle::{sweep, Scenario, SweepOptions};
 use bl_simcore::budget::CancelToken;
-use bl_simcore::durable::{self, STALE_AFTER};
+use bl_simcore::durable::{self, Class, STALE_AFTER};
 use bl_simcore::journal::{self, Journal};
 use bl_simcore::snapstore::clean_stale_snapshots;
 use serde_json::Value;
 use std::collections::HashMap;
 use std::io::{self, Read as _, Write as _};
 use std::os::unix::net::{UnixListener, UnixStream};
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{channel, RecvTimeoutError, Sender};
 use std::thread;
@@ -56,9 +62,9 @@ pub struct ServeConfig {
     /// The Unix socket path to listen on (a stale file there is removed
     /// at bind — a SIGKILLed daemon cannot unlink it on the way down).
     pub socket: PathBuf,
-    /// Daemon state root: the service journal (`serve.runs.jsonl`),
-    /// write-ahead batch files (`<run>.batch.json`) and the per-run
-    /// sweep journals (`journal/<run>.jsonl`).
+    /// Daemon state root: the service journal (`serve.runs.jsonl`), whose
+    /// admission records carry each run's batch, and the per-run sweep
+    /// journals (`journal/<run>.jsonl`).
     pub serve_dir: PathBuf,
     /// Persistent warm-snapshot store; `None` disables server-side
     /// trunk hydration.
@@ -104,10 +110,6 @@ impl Default for ServeConfig {
 impl ServeConfig {
     fn journal_dir(&self) -> PathBuf {
         self.serve_dir.join("journal")
-    }
-
-    fn batch_path(&self, run: &str) -> PathBuf {
-        self.serve_dir.join(format!("{run}.batch.json"))
     }
 
     fn sweep_journal_path(&self, run: &str) -> PathBuf {
@@ -269,7 +271,9 @@ pub fn serve(cfg: ServeConfig) -> io::Result<i32> {
 
 /// Startup hygiene: sweep the debris a SIGKILLed predecessor may have
 /// left — stale snapshots, stale shard/journal artifacts, orphaned
-/// `.tmp` files in the state root — once older than
+/// `.tmp` files in the state root, and the `<run>.batch.json` files
+/// older daemons wrote beside the journal (nothing reads them: their
+/// batch-less admissions are quarantined at adoption) — once older than
 /// [`durable::STALE_AFTER`], and say what was reclaimed.
 fn startup_hygiene(cfg: &ServeConfig) {
     let snaps = cfg
@@ -277,10 +281,12 @@ fn startup_hygiene(cfg: &ServeConfig) {
         .as_deref()
         .map_or(0, |dir| clean_stale_snapshots(dir, STALE_AFTER));
     let artifacts = journal::clean_stale_artifacts(&cfg.journal_dir(), "", STALE_AFTER);
-    let tmps = durable::remove_stale(&cfg.serve_dir, STALE_AFTER, |name| name.ends_with(".tmp"));
+    let tmps = durable::remove_stale(&cfg.serve_dir, STALE_AFTER, |name| {
+        name.ends_with(".tmp") || name.ends_with(".batch.json")
+    });
     eprintln!(
         "serve hygiene: reclaimed {snaps} stale snapshot(s), {artifacts} stale journal \
-         artifact(s), {tmps} orphaned tmp file(s)"
+         artifact(s), {tmps} orphaned tmp or batch file(s)"
     );
 }
 
@@ -303,7 +309,7 @@ fn scheduler_loop(cfg: &ServeConfig, tx: Sender<Cmd>, rx: std::sync::mpsc::Recei
             return 1;
         }
     };
-    adopt_runs(cfg, &mut service, &mut board, &mut meta, start);
+    adopt_runs(&mut service, &mut board, &mut meta, start);
 
     // Throughput signal: cumulative simulated events observed (journal
     // done records + finished runs), sampled into a short window.
@@ -370,7 +376,6 @@ fn scheduler_loop(cfg: &ServeConfig, tx: Sender<Cmd>, rx: std::sync::mpsc::Recei
             }
             Ok(Cmd::Finished(f)) => {
                 finish_run(
-                    cfg,
                     &mut board,
                     &mut meta,
                     &mut subs,
@@ -440,19 +445,21 @@ fn scheduler_loop(cfg: &ServeConfig, tx: Sender<Cmd>, rx: std::sync::mpsc::Recei
     }
 }
 
-/// Re-queues every non-terminal run found in the service journal: the
-/// restarted daemon adopts in-flight work, and the engine's journal
-/// replay keeps adopted re-runs byte-identical and cheap.
-fn adopt_runs(
-    cfg: &ServeConfig,
-    service: &mut Journal,
-    board: &mut RunBoard,
-    meta: &mut HashMap<String, RunMeta>,
-    start: Instant,
-) {
-    // Fold the journal: latest state per run wins.
-    let mut latest: Vec<(String, (String, String, u64))> = Vec::new();
-    for line in service.records() {
+/// One run's state folded from the service journal: its latest record
+/// wins, and its batch is the one its latest admission carried.
+struct Folded {
+    run: String,
+    state: String,
+    client: String,
+    n: u64,
+    batch: Option<Value>,
+}
+
+/// Folds service-journal records into one entry per run, ordered by each
+/// run's latest record.
+fn fold(records: &[String]) -> Vec<Folded> {
+    let mut latest: Vec<Folded> = Vec::new();
+    for line in records {
         let Ok(v) = serde_json::from_str::<Value>(line) else {
             continue;
         };
@@ -465,59 +472,97 @@ fn adopt_runs(
         ) else {
             continue;
         };
-        let client = v.get("client").and_then(Value::as_str).unwrap_or("anon");
-        let n = v.get("n").and_then(Value::as_u64).unwrap_or(0);
-        latest.retain(|(r, _)| r != run);
-        latest.push((run.to_string(), (state.to_string(), client.to_string(), n)));
+        let earlier = latest
+            .iter()
+            .position(|f| f.run == run)
+            .map(|i| latest.remove(i));
+        latest.push(Folded {
+            run: run.to_string(),
+            state: state.to_string(),
+            client: v
+                .get("client")
+                .and_then(Value::as_str)
+                .unwrap_or("anon")
+                .to_string(),
+            n: v.get("n").and_then(Value::as_u64).unwrap_or(0),
+            batch: v
+                .get("batch")
+                .cloned()
+                .or_else(|| earlier.and_then(|f| f.batch)),
+        });
     }
-    let mut adopted = 0;
-    for (run, (state, client, n)) in &latest {
-        let Some(state) = RunState::parse(state) else {
+    latest
+}
+
+/// Re-queues every non-terminal run found in the service journal: the
+/// restarted daemon adopts in-flight work, and the engine's journal
+/// replay keeps adopted re-runs byte-identical and cheap.
+fn adopt_runs(
+    service: &mut Journal,
+    board: &mut RunBoard,
+    meta: &mut HashMap<String, RunMeta>,
+    start: Instant,
+) {
+    let mut latest = fold(service.records());
+    let (mut adopted, mut quarantined) = (0, 0);
+    for f in &mut latest {
+        let Some(state) = RunState::parse(&f.state) else {
             continue;
         };
         if state.is_terminal() {
             continue;
         }
-        // Reload the write-ahead batch file; without it the run cannot
-        // be re-executed and is quarantined on the spot.
-        match load_batch_file(&cfg.batch_path(run)) {
+        // The admission record carries the batch; without a readable one
+        // (an admission written before batches moved into the journal)
+        // the run cannot be re-executed and is quarantined on the spot.
+        match f.batch.as_ref().and_then(parse_batch) {
             Some((scenarios, options)) => {
-                if board
-                    .submit(run, client, scenarios.len(), now_ms(start))
-                    .is_ok()
-                {
-                    meta.insert(
-                        run.clone(),
-                        RunMeta {
-                            cancel: CancelToken::new(),
-                            scenarios: Some(scenarios),
-                            options,
-                            seen_lines: 0,
-                        },
-                    );
-                    adopted += 1;
-                    eprintln!(
-                        "serve: adopted run {run} ({n} scenarios, was {})",
-                        state.as_str()
-                    );
-                }
+                board.adopt(&f.run, &f.client, scenarios.len(), now_ms(start));
+                meta.insert(
+                    f.run.clone(),
+                    RunMeta {
+                        cancel: CancelToken::new(),
+                        scenarios: Some(scenarios),
+                        options,
+                        seen_lines: 0,
+                    },
+                );
+                adopted += 1;
+                eprintln!(
+                    "serve: adopted run {} ({} scenarios, was {})",
+                    f.run,
+                    f.n,
+                    state.as_str()
+                );
             }
             None => {
-                eprintln!("serve: run {run} has no readable batch file — quarantining");
-                board.submit(run, client, *n as usize, now_ms(start)).ok();
-                board.quarantine(run);
-                journal_transition(service, run, RunState::Quarantined.as_str(), client, *n);
+                eprintln!("serve: run {} has no readable batch — quarantining", f.run);
+                board.adopt(&f.run, &f.client, f.n as usize, now_ms(start));
+                board.quarantine(&f.run);
+                f.state = RunState::Quarantined.as_str().to_string();
+                quarantined += 1;
             }
         }
     }
-    // Compact: the folded view atomically replaces the full history,
-    // bounding the journal across restarts.
+    // Compact: the post-adoption fold atomically replaces the full
+    // history, bounding the journal across restarts and recording the
+    // quarantines above. It keeps the batch of every non-terminal run, so
+    // it backs the same promise as the admissions it replaces.
     let compacted: Vec<String> = latest
         .iter()
-        .map(|(run, (state, client, n))| run_record(run, state, client, *n))
+        .map(|f| {
+            let open = RunState::parse(&f.state).is_some_and(|s| !s.is_terminal());
+            run_record(
+                &f.run,
+                &f.state,
+                &f.client,
+                f.n,
+                f.batch.clone().filter(|_| open),
+            )
+        })
         .collect();
-    if compacted.len() < service.records().len() {
-        match Journal::replace(service.path(), compacted) {
+    if quarantined > 0 || compacted.len() < service.records().len() {
+        match Journal::replace(Class::Promise, service.path(), compacted) {
             Ok(fresh) => *service = fresh,
             Err(e) => eprintln!("serve: service journal compaction failed: {e}"),
         }
@@ -527,55 +572,36 @@ fn adopt_runs(
     }
 }
 
-fn run_record(run: &str, state: &str, client: &str, n: u64) -> String {
-    serde_json::to_string(&Value::Object(vec![
+/// One service-journal record: a run's lifecycle state, plus the batch on
+/// an admission (and on compacted non-terminal runs).
+fn run_record(run: &str, state: &str, client: &str, n: u64, batch: Option<Value>) -> String {
+    let mut fields = vec![
         ("ev".into(), Value::String("run".into())),
         ("run".into(), Value::String(run.to_string())),
         ("state".into(), Value::String(state.to_string())),
         ("client".into(), Value::String(client.to_string())),
         ("n".into(), Value::UInt(n)),
-    ]))
-    .expect("record serializes")
+    ];
+    if let Some(batch) = batch {
+        fields.push(("batch".into(), batch));
+    }
+    serde_json::to_string(&Value::Object(fields)).expect("record serializes")
 }
 
-/// Persists one lifecycle transition (see [`journal_records`]).
+/// Appends one lifecycle transition as derived state: a power cut may
+/// lose it, and a restart re-derives it by adopting and re-running the
+/// run. Journal failures are logged, not fatal: the daemon degrades to
+/// serving without durability rather than dying mid-request.
 fn journal_transition(service: &mut Journal, run: &str, state: &str, client: &str, n: u64) {
-    journal_records(service, &[run_record(run, state, client, n)]);
-}
-
-/// Persists lifecycle records in one append. Journal failures are
-/// logged, not fatal: the daemon degrades to serving without durability
-/// rather than dying mid-request.
-fn journal_records(service: &mut Journal, records: &[String]) {
-    if let Err(e) = service.append_all(records) {
+    let record = run_record(run, state, client, n, None);
+    if let Err(e) = service.append_all(Class::Derived, &[record]) {
         eprintln!("serve: service journal append failed: {e}");
     }
 }
 
-fn load_batch_file(path: &Path) -> Option<(Vec<Scenario>, SubmitOptions)> {
-    let text = std::fs::read_to_string(path).ok()?;
-    let v: Value = serde_json::from_str(&text).ok()?;
-    let raw = v.get("scenarios")?.as_array()?;
-    let mut scenarios = Vec::with_capacity(raw.len());
-    for sc in raw {
-        scenarios.push(serde_json::from_value::<Scenario>(sc.clone()).ok()?);
-    }
-    let options = SubmitOptions {
-        deadline_ms: v.get("deadline_ms").and_then(Value::as_u64),
-        max_events: v.get("max_events").and_then(Value::as_u64),
-        retries: v.get("retries").and_then(Value::as_u64).unwrap_or(0) as u32,
-        audit: matches!(v.get("audit"), Some(Value::Bool(true))),
-    };
-    Some((scenarios, options))
-}
-
-/// Writes the batch file write-ahead ([`durable::write_atomic`]), so an
-/// admitted run survives SIGKILL before its executor ever starts.
-fn store_batch_file(
-    path: &Path,
-    scenarios: &[Scenario],
-    options: &SubmitOptions,
-) -> io::Result<()> {
+/// The batch an admission record carries: the scenarios and the options
+/// they execute under.
+fn batch_value(scenarios: &[Scenario], options: &SubmitOptions) -> Value {
     let mut fields = vec![(
         "scenarios".into(),
         Value::Array(
@@ -597,8 +623,24 @@ fn store_batch_file(
     if options.audit {
         fields.push(("audit".into(), Value::Bool(true)));
     }
-    let body = serde_json::to_string(&Value::Object(fields)).expect("batch serializes");
-    durable::write_atomic(path, body.as_bytes())
+    Value::Object(fields)
+}
+
+/// The inverse of [`batch_value`]; `None` when the batch does not decode.
+fn parse_batch(v: &Value) -> Option<(Vec<Scenario>, SubmitOptions)> {
+    let scenarios = v
+        .get("scenarios")?
+        .as_array()?
+        .iter()
+        .map(|sc| serde_json::from_value::<Scenario>(sc.clone()).ok())
+        .collect::<Option<Vec<_>>>()?;
+    let options = SubmitOptions {
+        deadline_ms: v.get("deadline_ms").and_then(Value::as_u64),
+        max_events: v.get("max_events").and_then(Value::as_u64),
+        retries: v.get("retries").and_then(Value::as_u64).unwrap_or(0) as u32,
+        audit: matches!(v.get("audit"), Some(Value::Bool(true))),
+    };
+    Some((scenarios, options))
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -631,15 +673,14 @@ fn handle_submit(
             send_to(writers, conn, &proto::admitted_line(&run, 0));
         }
         Ok(Admission::Queued { position }) => {
-            // Write-ahead: batch file first, then the journaled
-            // transitions, then the answer — a crash between any two
-            // steps leaves recoverable state, never a lie to the client.
-            if let Err(e) = store_batch_file(&cfg.batch_path(&run), &scenarios, &options) {
-                eprintln!("serve: cannot persist batch for run {run}: {e}");
+            // The promise: the admission record, carrying the batch, is
+            // synced before the client hears `admitted`, so a restart
+            // after any crash — a power cut included — adopts the run.
+            let batch = batch_value(&scenarios, &options);
+            let record = run_record(&run, RunState::Admitted.as_str(), &client, n, Some(batch));
+            if let Err(e) = service.append_all(Class::Promise, &[record]) {
+                eprintln!("serve: cannot persist the admission of run {run}: {e}");
             }
-            let records = [RunState::Submitted, RunState::Admitted]
-                .map(|state| run_record(&run, state.as_str(), &client, n));
-            journal_records(service, &records);
             meta.insert(
                 run.clone(),
                 RunMeta {
@@ -758,9 +799,7 @@ fn executor(
     })));
 }
 
-#[allow(clippy::too_many_arguments)]
 fn finish_run(
-    cfg: &ServeConfig,
     board: &mut RunBoard,
     meta: &mut HashMap<String, RunMeta>,
     subs: &mut HashMap<String, Vec<u64>>,
@@ -818,17 +857,15 @@ fn finish_run(
             f.results.len()
         );
     }
-    // Terminal runs need no batch file: the journaled transition is the
-    // durable record, and results live in the sweep journal.
-    let _ = std::fs::remove_file(cfg.batch_path(&f.run));
     meta.remove(&f.run);
     subs.remove(&f.run);
 }
 
 /// Folds fresh sweep-journal lines into progress counts, checkpoint
-/// events and the throughput signal. Reading while the engine appends
-/// needs no lock: a half-written last record fails its frame and is
-/// picked up by a later poll.
+/// events and the throughput signal; a leased run turns Running at its
+/// first settled scenario. Reading while the engine appends needs no
+/// lock: a half-written last record fails its frame and is picked up by a
+/// later poll.
 #[allow(clippy::too_many_arguments)]
 fn poll_progress(
     cfg: &ServeConfig,
@@ -850,8 +887,7 @@ fn poll_progress(
         }
         let was_leased = entry.state == RunState::Leased;
         let (client, total) = (entry.client.clone(), entry.total as u64);
-        let path = cfg.sweep_journal_path(&run);
-        let Ok(lines) = Journal::load(&path) else {
+        let Ok(lines) = Journal::load(&cfg.sweep_journal_path(&run)) else {
             continue;
         };
         let Some(m) = meta.get_mut(&run) else {
@@ -887,11 +923,6 @@ fn poll_progress(
                 &run,
                 &proto::checkpoint_line(&run, done as u64, total),
             );
-        } else if was_leased && path.exists() {
-            // The engine opened its journal: the run is observably alive
-            // even before its first completed scenario.
-            board.mark_running(&run, now_ms(start));
-            journal_transition(service, &run, RunState::Running.as_str(), &client, total);
         }
     }
 }
@@ -1126,5 +1157,336 @@ fn reader_loop(
             }
             Err(_) => return,
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::client::{control, submit, SubmitConfig};
+    use crate::lifecycle::BoardLimits;
+    use biglittle::SystemConfig;
+    use bl_platform::ids::CpuId;
+    use bl_simcore::durable::{Image, PowerCut};
+    use bl_simcore::time::SimDuration;
+    use std::path::Path;
+
+    fn temp_root(name: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("bl-serve-test-{name}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
+    /// A daemon under `root` with room to run every adopted run at once.
+    /// The snapshot store shares the service journal's directory, so the
+    /// directory sync of an admission also names the `.snap` entries
+    /// renamed there before it, which a cut then leaves empty.
+    fn config(root: &Path) -> ServeConfig {
+        ServeConfig {
+            socket: root.join("serve.sock"),
+            serve_dir: root.join("state"),
+            snap_dir: Some(root.join("state")),
+            jobs: 1,
+            limits: BoardLimits {
+                max_active: 4,
+                ..BoardLimits::default()
+            },
+            ..ServeConfig::default()
+        }
+    }
+
+    /// Runs a daemon on `cfg` in a thread and returns once it listens.
+    fn start(cfg: &ServeConfig) -> thread::JoinHandle<i32> {
+        let run = cfg.clone();
+        let daemon = thread::spawn(move || serve(run).expect("the daemon starts"));
+        let deadline = Instant::now() + Duration::from_secs(30);
+        while !cfg.socket.exists() {
+            assert!(Instant::now() < deadline, "the daemon never listened");
+            thread::sleep(Duration::from_millis(2));
+        }
+        daemon
+    }
+
+    /// Drains the daemon: it finishes every run it holds, then exits 0.
+    fn drain(cfg: &ServeConfig, daemon: thread::JoinHandle<i32>) {
+        control(&cfg.socket, "drain").expect("drain is answered");
+        assert_eq!(daemon.join().expect("the daemon thread ends"), 0);
+    }
+
+    /// Two scenarios warming up on one trunk per seed: a run publishes
+    /// its trunks to the snapshot store, or hydrates them.
+    fn batch(tag: &str, seed: u64) -> Vec<Scenario> {
+        (0..2u64)
+            .map(|i| {
+                Scenario::microbench(
+                    format!("cut-{tag}-{i}"),
+                    CpuId(i as usize),
+                    0.3 + 0.2 * i as f64,
+                    SimDuration::from_millis(10),
+                    SimDuration::from_millis(300),
+                    SystemConfig::baseline().with_seed(seed + i),
+                )
+                .with_warmup(SimDuration::from_millis(100))
+            })
+            .collect()
+    }
+
+    /// Each scenario's result bytes from a one-shot sweep.
+    fn reference(scenarios: &[Scenario]) -> Vec<String> {
+        sweep::run_with(scenarios, &SweepOptions::serial())
+            .results
+            .iter()
+            .map(|r| serde_json::to_string(r.as_ref().expect("the reference runs")).unwrap())
+            .collect()
+    }
+
+    /// Submits `scenarios`; returns the run id and each result's bytes.
+    fn served(cfg: &ServeConfig, client: &str, scenarios: &[Scenario]) -> (String, Vec<String>) {
+        let submit_cfg = SubmitConfig {
+            socket: cfg.socket.clone(),
+            client: client.to_string(),
+            backoff: Duration::from_millis(20),
+            quiet: true,
+            ..SubmitConfig::default()
+        };
+        let values: Vec<Value> = scenarios
+            .iter()
+            .map(|sc| serde_json::to_value(sc).unwrap())
+            .collect();
+        let report = submit(&submit_cfg, &values).expect("the run completes");
+        let results = report
+            .results
+            .into_iter()
+            .map(|r| serde_json::to_string(&r.expect("the scenario runs")).unwrap())
+            .collect();
+        (report.run, results)
+    }
+
+    /// `(run, state)` per run, folded from service-journal records.
+    fn states(records: &[String]) -> Vec<(String, String)> {
+        fold(records)
+            .into_iter()
+            .map(|f| (f.run, f.state))
+            .collect()
+    }
+
+    #[test]
+    fn adoption_records_its_quarantines_and_keeps_open_batches() {
+        let root = temp_root("adopt");
+        let path = root.join("serve.runs.jsonl");
+        let scenarios = batch("adopt", 40);
+        let open = batch_value(&scenarios, &SubmitOptions::default());
+        // r1 was admitted before batches moved into the journal; r2 is in
+        // flight; r3 finished; r4 is queued.
+        let history = vec![
+            run_record("r1", "admitted", "c", 2, None),
+            run_record("r2", "admitted", "c", 2, Some(open.clone())),
+            run_record("r2", "leased", "c", 2, None),
+            run_record("r3", "admitted", "c", 2, Some(open.clone())),
+            run_record("r3", "complete", "c", 2, None),
+            run_record("r4", "admitted", "c", 2, Some(open)),
+        ];
+        Journal::replace(Class::Derived, &path, history).unwrap();
+        for pass in 0..2 {
+            let mut service = Journal::open(&path, true).unwrap();
+            // Adoption re-queues every open run, past the admission limits.
+            let mut board = RunBoard::new(BoardLimits {
+                max_queued: 1,
+                ..BoardLimits::default()
+            });
+            let mut meta = HashMap::new();
+            adopt_runs(&mut service, &mut board, &mut meta, Instant::now());
+            // Only the first adoption finds r1 open; the second reads the
+            // quarantine the first one compacted into the journal.
+            assert_eq!(
+                board.quarantined_runs(),
+                u64::from(pass == 0),
+                "pass {pass}"
+            );
+            let mut adopted: Vec<&String> = meta.keys().collect();
+            adopted.sort();
+            assert_eq!(adopted, ["r2", "r4"], "pass {pass}");
+            let adopted = meta["r2"].scenarios.as_deref().expect("held until leased");
+            assert_eq!(
+                serde_json::to_string(&batch_value(adopted, &meta["r2"].options)).unwrap(),
+                serde_json::to_string(&batch_value(&scenarios, &SubmitOptions::default())).unwrap()
+            );
+            let records = Journal::load(&path).unwrap();
+            assert_eq!(
+                states(&records),
+                [
+                    ("r1", "quarantined"),
+                    ("r2", "leased"),
+                    ("r3", "complete"),
+                    ("r4", "admitted")
+                ]
+                .map(|(r, s)| (r.to_string(), s.to_string())),
+                "pass {pass}"
+            );
+            // The compacted journal keeps the batches of open runs only.
+            let batches: Vec<bool> = fold(&records).iter().map(|f| f.batch.is_some()).collect();
+            assert_eq!(batches, [false, true, false, true], "pass {pass}");
+        }
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn startup_hygiene_retires_batch_files_older_daemons_left() {
+        let root = temp_root("hygiene");
+        let cfg = ServeConfig {
+            serve_dir: root.clone(),
+            snap_dir: None,
+            ..ServeConfig::default()
+        };
+        let (old, young) = (root.join("r1.batch.json"), root.join("r2.batch.json"));
+        for path in [&old, &young] {
+            std::fs::write(path, b"{}").unwrap();
+        }
+        let stale = std::time::SystemTime::now() - STALE_AFTER - Duration::from_secs(60);
+        std::fs::File::options()
+            .write(true)
+            .open(&old)
+            .unwrap()
+            .set_modified(stale)
+            .unwrap();
+        startup_hygiene(&cfg);
+        assert!(!old.exists() && young.exists());
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn a_served_admission_costs_one_sync_and_the_daemon_one_more() {
+        let root = temp_root("sync-budget");
+        let cfg = config(&root);
+        let cut = PowerCut::install(&root);
+        let daemon = start(&cfg);
+        let batches = [batch("a", 100), batch("b", 200), batch("c", 300)];
+        for b in &batches {
+            served(&cfg, "c0", b);
+        }
+        // A verbatim repeat of a completed run is admitted again.
+        served(&cfg, "c1", &batches[0]);
+        drain(&cfg, daemon);
+        assert_eq!(
+            cut.syncs(),
+            4 + 1,
+            "four admissions, plus the directory entry of serve.runs.jsonl"
+        );
+        assert!(
+            cut.boundaries().len() > 4 * 5,
+            "the rest of the daemon's writes went through durable unsynced"
+        );
+        drop(cut);
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn a_power_cut_at_any_record_boundary_loses_no_admitted_run() {
+        let root = temp_root("power-cut");
+        let cfg = config(&root);
+        let service = cfg.serve_dir.join("serve.runs.jsonl");
+        // b shares a's trunks and hydrates them; c builds its own.
+        let batches = [batch("a", 100), batch("b", 100), batch("c", 300)];
+        let references: Vec<Vec<String>> = batches.iter().map(|b| reference(b)).collect();
+
+        let cut = PowerCut::install(&root);
+        // A daemon drained before any admission: its `draining` record
+        // creates the service journal as derived state.
+        drain(&cfg, start(&cfg));
+        let daemon = start(&cfg);
+        let mut runs = Vec::new();
+        for (b, client) in batches[..2].iter().zip(["a", "b"]) {
+            let (run, results) = served(&cfg, client, b);
+            assert_eq!(results, references[runs.len()]);
+            runs.push(run);
+        }
+        drain(&cfg, daemon);
+        // This daemon's startup compaction and first admission sync the
+        // directory the previous daemon renamed its snapshots into.
+        let daemon = start(&cfg);
+        let (run, results) = served(&cfg, "c", &batches[2]);
+        assert_eq!(results, references[2]);
+        runs.push(run);
+        drain(&cfg, daemon);
+        let mut images = cut.boundaries();
+        drop(cut);
+
+        let admitted = |image: &Image| -> Vec<String> {
+            let records: Vec<String> = image.files().get(&service).map_or(Vec::new(), |bytes| {
+                String::from_utf8_lossy(bytes)
+                    .lines()
+                    .filter_map(durable::unframe)
+                    .map(str::to_string)
+                    .collect()
+            });
+            let mut runs: Vec<String> = states(&records)
+                .into_iter()
+                .map(|(run, _)| run)
+                .filter(|run| run != "daemon")
+                .collect();
+            runs.sort();
+            runs
+        };
+        // The promise: once an admission survives a cut, every later cut
+        // keeps it too, and the last cut keeps all three.
+        for pair in images.windows(2) {
+            let (before, after) = (admitted(&pair[0]), admitted(&pair[1]));
+            assert!(
+                before.iter().all(|r| after.contains(r)),
+                "{before:?} then {after:?}"
+            );
+        }
+        let last = images.last().unwrap();
+        let mut all = runs.clone();
+        all.sort();
+        assert_eq!(admitted(last), all);
+        // The derived `draining` record that created the journal survives
+        // once the next daemon's first admission names the file, and a
+        // `.snap` rename a later directory sync named survives empty.
+        let first = images.iter().find(|i| !admitted(i).is_empty()).unwrap();
+        let kept = String::from_utf8_lossy(&first.files()[&service]).into_owned();
+        assert!(
+            kept.lines().next().unwrap().contains("\"draining\""),
+            "{kept}"
+        );
+        assert!(last
+            .files()
+            .iter()
+            .any(|(p, bytes)| p.extension().is_some_and(|x| x == "snap") && bytes.is_empty()));
+
+        // Derived writes leave the image as it was, so consecutive
+        // boundaries often cut to the same files; each distinct one is
+        // restored and restarted once.
+        let boundaries = images.len();
+        images.dedup();
+        assert!(images.len() < boundaries);
+        for (k, image) in images.iter().enumerate() {
+            let _ = std::fs::remove_dir_all(&root);
+            std::fs::create_dir_all(&root).unwrap();
+            image.restore().unwrap();
+            let open: Vec<String> = fold(&Journal::load(&service).unwrap())
+                .into_iter()
+                .filter(|f| RunState::parse(&f.state).is_some_and(|s| !s.is_terminal()))
+                .map(|f| f.run)
+                .collect();
+            // A daemon no client talks to adopts and finishes every open
+            // admitted run before its drain completes.
+            drain(&cfg, start(&cfg));
+            let after = states(&Journal::load(&service).unwrap());
+            for run in &open {
+                assert!(
+                    after.contains(&(run.clone(), "complete".to_string())),
+                    "cut {k}: run {run} was not adopted and finished: {after:?}"
+                );
+            }
+            // Clients that come back get the one-shot bytes.
+            let daemon = start(&cfg);
+            for ((b, client), want) in batches.iter().zip(["a", "b", "c"]).zip(&references) {
+                assert_eq!(&served(&cfg, client, b).1, want, "cut {k}");
+            }
+            drain(&cfg, daemon);
+        }
+        let _ = std::fs::remove_dir_all(&root);
     }
 }

@@ -1,28 +1,33 @@
-//! A crash-safe, line-oriented write-ahead journal.
+//! A crash-safe, line-oriented journal of checksummed records.
 //!
-//! The sweep supervisor records scenario start/finish events here so a
-//! killed process can resume a batch without recomputing finished work.
-//! Durability model:
+//! The sweep engine records each finished scenario here so a killed
+//! process can resume a batch without recomputing finished work, and the
+//! serve daemon records its runs' lifecycle. Durability model:
 //!
 //! * every record line is a [`durable::frame`]
 //!   (`<16-hex FNV-1a> <payload>`); lines whose checksum does not match
 //!   (e.g. hand-edited or damaged storage) are dropped on load instead of
 //!   poisoning the resume;
-//! * an **append writes only the new frames** through
-//!   [`durable::append_synced`]: one write to an `O_APPEND` handle, then
-//!   `sync_data`, with the directory fsynced by the append that creates
-//!   the file. A failed append is cut back off the file;
+//! * an **append writes only the new frames**, in one write to an
+//!   `O_APPEND` handle ([`durable::Appender`]), and names its
+//!   [`Class`]: a derived record is never synced, a promise is synced
+//!   with the file's directory entry before the append returns. A failed
+//!   append is cut back off the file;
 //! * a crash mid-append can leave a **torn tail** (bytes after the last
-//!   newline). [`Journal::open`] with `resume` cuts it before loading, so
-//!   a new record never glues onto a fragment;
+//!   newline), and a power cut may drop every derived record after the
+//!   last promise. [`Journal::open`] with `resume` cuts a torn tail
+//!   before loading, so a new record never glues onto a fragment;
 //! * a reader running alongside the writer ([`Journal::load`]) may catch
 //!   an append half-written: its last line fails the frame and reads as
 //!   not yet appended, so no lock is needed;
 //! * a **whole-file rewrite** (compaction, fleet merge) goes through
-//!   [`Journal::replace`], i.e. [`durable::write_atomic`], so a crash
-//!   leaves the old journal or the new one, never neither.
+//!   [`Journal::replace`], i.e. [`durable::replace`], so a crash leaves
+//!   the old journal or the new one, never a torn mix;
+//! * a journal holds in memory only what [`Journal::open`] or
+//!   [`Journal::replace`] loaded, never what it appended since, so a
+//!   long-lived writer does not keep its whole history.
 
-use crate::durable;
+use crate::durable::{self, Appender, Class};
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -41,10 +46,8 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
 /// An append-only journal of checksummed text records.
 #[derive(Debug)]
 pub struct Journal {
-    path: PathBuf,
     records: Vec<String>,
-    /// The `O_APPEND` handle, opened by the first append.
-    file: Option<fs::File>,
+    appender: Appender,
 }
 
 impl Journal {
@@ -92,57 +95,59 @@ impl Journal {
             }
         }
         Ok(Journal {
-            path,
             records,
-            file: None,
+            appender: Appender::new(path),
         })
     }
 
     /// Replaces the journal at `path` with exactly `records`, atomically
-    /// ([`durable::write_atomic`]): a crash leaves the old journal or the
-    /// new one, never neither. This is the rewrite for compaction and
-    /// merges; appends go through [`Journal::append_all`].
+    /// ([`durable::replace`] in `class`): a crash leaves the old journal
+    /// or the new one, never a torn mix. This is the rewrite for
+    /// compaction and merges; appends go through [`Journal::append_all`].
     ///
     /// # Errors
     ///
     /// Propagates I/O failures (the parent directory must exist);
     /// `InvalidInput` for a multi-line record, in which case nothing is
     /// written.
-    pub fn replace(path: impl Into<PathBuf>, records: Vec<String>) -> io::Result<Journal> {
+    pub fn replace(
+        class: Class,
+        path: impl Into<PathBuf>,
+        records: Vec<String>,
+    ) -> io::Result<Journal> {
         let path = path.into();
         let text = frame_all(&records)?;
-        durable::write_atomic(&path, text.as_bytes())?;
+        durable::replace(class, &path, text.as_bytes())?;
         Ok(Journal {
-            path,
             records,
-            file: None,
+            appender: Appender::new(path),
         })
     }
 
-    /// The records currently in the journal, in append order.
+    /// The records [`Journal::open`] or [`Journal::replace`] loaded, in
+    /// order. Appends made since are not kept in memory; read them back
+    /// with [`Journal::load`].
     pub fn records(&self) -> &[String] {
         &self.records
     }
 
     /// The journal's on-disk location.
     pub fn path(&self) -> &Path {
-        &self.path
+        self.appender.path()
     }
 
-    /// Appends one record (newlines inside `payload` are rejected — one
-    /// record is one line) and makes it durable through
-    /// [`durable::append_synced`].
+    /// Appends one derived record (newlines inside `payload` are rejected
+    /// — one record is one line): `append_all(Class::Derived, &[payload])`.
     ///
     /// # Errors
     ///
     /// Propagates I/O failures; `InvalidInput` for a multi-line payload.
     pub fn append(&mut self, payload: &str) -> io::Result<()> {
-        self.append_all(std::slice::from_ref(&payload.to_string()))
+        self.append_all(Class::Derived, &[payload])
     }
 
-    /// Appends a batch of records with a **single** write and
-    /// `sync_data`, so records that belong together (a lifecycle step's
-    /// transitions) cost one sync.
+    /// Appends records of one `class` with a **single** write — and, for a
+    /// promise, a single sync ([`Appender::append`]).
     ///
     /// All-or-nothing: if any payload is multi-line, or the write or sync
     /// fails, nothing is appended.
@@ -150,11 +155,9 @@ impl Journal {
     /// # Errors
     ///
     /// Propagates I/O failures; `InvalidInput` for a multi-line payload.
-    pub fn append_all(&mut self, payloads: &[String]) -> io::Result<()> {
+    pub fn append_all(&mut self, class: Class, payloads: &[impl AsRef<str>]) -> io::Result<()> {
         let text = frame_all(payloads)?;
-        durable::append_synced(&mut self.file, &self.path, text.as_bytes())?;
-        self.records.extend(payloads.iter().cloned());
-        Ok(())
+        self.appender.append(class, text.as_bytes())
     }
 
     /// Reads the checksummed records of the journal at `path` without
@@ -180,14 +183,17 @@ impl Journal {
 
 /// Frames `payloads` into one buffer, or `InvalidInput` if any is
 /// multi-line (one record is one line).
-fn frame_all(payloads: &[String]) -> io::Result<String> {
-    if payloads.iter().any(|p| p.contains('\n')) {
+fn frame_all(payloads: &[impl AsRef<str>]) -> io::Result<String> {
+    if payloads.iter().any(|p| p.as_ref().contains('\n')) {
         return Err(io::Error::new(
             io::ErrorKind::InvalidInput,
             "journal records must be single lines",
         ));
     }
-    Ok(payloads.iter().map(|p| durable::frame(p)).collect())
+    Ok(payloads
+        .iter()
+        .map(|p| durable::frame(p.as_ref()))
+        .collect())
 }
 
 /// The payloads of the intact frames in `bytes`. Lossy decoding: a line
@@ -301,9 +307,12 @@ mod tests {
         let mut j = Journal::open(&path, false).unwrap();
         assert!(j.append("two\nlines").is_err());
         assert!(j
-            .append_all(&["fine".to_string(), "two\nlines".to_string()])
+            .append_all(Class::Promise, &["fine", "two\nlines"])
             .is_err());
-        assert!(j.records().is_empty(), "rejected batches append nothing");
+        assert!(
+            Journal::load(&path).unwrap().is_empty(),
+            "rejected batches append nothing"
+        );
     }
 
     #[test]
@@ -311,8 +320,7 @@ mod tests {
         let path = tmp_path("bulk");
         let mut j = Journal::open(&path, false).unwrap();
         j.append("first").unwrap();
-        j.append_all(&["second".to_string(), "third".to_string()])
-            .unwrap();
+        j.append_all(Class::Promise, &["second", "third"]).unwrap();
         drop(j);
         assert_eq!(Journal::load(&path).unwrap(), ["first", "second", "third"]);
         // Read-only load of a missing journal is empty, not an error.
@@ -327,7 +335,7 @@ mod tests {
         let records = ["first", "second ΔT", "third"];
         Journal::open(&path, false)
             .unwrap()
-            .append_all(&records.map(String::from))
+            .append_all(Class::Derived, &records)
             .unwrap();
         let clean = fs::read(&path).unwrap();
         for n in 0..=clean.len() {
@@ -337,8 +345,8 @@ mod tests {
             // A record is intact when its newline survived the cut.
             let intact = clean[..n].iter().filter(|&&b| b == b'\n').count();
             let mut want = records[..intact].to_vec();
-            want.push("next");
             assert_eq!(j.records(), want, "truncated to {n} bytes");
+            want.push("next");
             assert_eq!(
                 Journal::load(&path).unwrap(),
                 want,
@@ -358,9 +366,9 @@ mod tests {
         let appended = fs::read(&path).unwrap();
         j.append("stale").unwrap();
 
-        assert!(Journal::replace(&path, vec!["two\nlines".to_string()]).is_err());
+        assert!(Journal::replace(Class::Promise, &path, vec!["two\nlines".to_string()]).is_err());
         assert_eq!(Journal::load(&path).unwrap(), ["a", "b", "c", "stale"]);
-        let mut j = Journal::replace(&path, records.clone()).unwrap();
+        let mut j = Journal::replace(Class::Derived, &path, records.clone()).unwrap();
         assert_eq!(j.records(), records);
         assert_eq!(fs::read(&path).unwrap(), appended);
         j.append("d").unwrap();

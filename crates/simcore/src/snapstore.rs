@@ -18,8 +18,9 @@
 //! ## On-disk format
 //!
 //! One file per snapshot at `<dir>/<key>.snap`, written through
-//! [`durable::write_atomic`] like the sweep journal. The content is a
-//! single [`durable::frame`]d line
+//! [`durable::replace`] as derived state: never synced, because a lost
+//! or empty entry is a miss and the trunk is re-simulated to the same
+//! bytes. The content is a single [`durable::frame`]d line
 //!
 //! ```text
 //! <16-hex FNV-1a of payload> <payload JSON>
@@ -163,8 +164,8 @@ impl SnapStore {
         }
     }
 
-    /// Writes `entry` durably under its own key
-    /// ([`durable::write_atomic`]) and caches it in the memory tier.
+    /// Writes `entry` under its own key ([`durable::replace`], derived
+    /// state) and caches it in the memory tier.
     ///
     /// # Errors
     ///
@@ -174,7 +175,8 @@ impl SnapStore {
         let payload = serde_json::to_string(entry)
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
         fs::create_dir_all(&self.dir)?;
-        durable::write_atomic(
+        durable::replace(
+            durable::Class::Derived,
             &self.path_for(&entry.key),
             durable::frame(&payload).as_bytes(),
         )?;
@@ -332,6 +334,7 @@ mod tests {
         let store = temp_store("impersonate");
         let e = entry("00000000cccc0000", 3);
         store.publish(&e).unwrap();
+        #[allow(clippy::disallowed_methods)] // moves an entry by hand
         fs::rename(store.path_for(&e.key), store.path_for("00000000dddd0000")).unwrap();
         assert_eq!(store.load("00000000dddd0000"), None);
         assert!(!store.path_for("00000000dddd0000").exists());

@@ -1,5 +1,5 @@
 //! Integration tests for the crash-safe sweep supervisor: budgets,
-//! retry/quarantine, the write-ahead journal, cache integrity and the
+//! retry/quarantine, the sweep journal, cache integrity and the
 //! runtime invariant auditor. The cross-process SIGKILL variant lives in
 //! `crates/bench/tests/supervision_cli.rs`; these tests exercise the same
 //! machinery in-process.
@@ -8,9 +8,10 @@ use biglittle::sweep::{self, SweepOptions};
 use biglittle::{Scenario, Simulation, SystemConfig};
 use bl_platform::ids::CpuId;
 use bl_simcore::budget::{CancelToken, RunBudget};
+use bl_simcore::durable::PowerCut;
 use bl_simcore::error::SimError;
 use bl_simcore::time::{SimDuration, SimTime};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::time::Duration;
 
 fn mb(label: &str, duty: f64, run_ms: u64) -> Scenario {
@@ -162,7 +163,7 @@ fn journal_truncation_resumes_the_remainder_bit_identically() {
     let reference = sweep::run_with(&batch, &opts);
 
     // Simulate a crash after the second scenario: drop the journal's last
-    // completed record (done + the third start), keeping a valid prefix.
+    // completed record, keeping a valid prefix.
     let journal_path = std::fs::read_dir(&dir)
         .unwrap()
         .flatten()
@@ -171,12 +172,13 @@ fn journal_truncation_resumes_the_remainder_bit_identically() {
         .expect("journal file exists");
     let text = std::fs::read_to_string(&journal_path).unwrap();
     let lines: Vec<&str> = text.lines().collect();
-    // Layout is alternating start/done records: keep the first four lines
-    // (two completed scenarios), plus a torn partial line for realism.
+    // One done record per scenario: keep the first two lines (two
+    // completed scenarios), plus a torn partial line for realism.
+    assert_eq!(lines.len(), 3);
     let truncated = format!(
         "{}\n{}",
-        lines[..4].join("\n"),
-        &lines[4][..lines[4].len() / 2]
+        lines[..2].join("\n"),
+        &lines[2][..lines[2].len() / 2]
     );
     std::fs::write(&journal_path, truncated).unwrap();
 
@@ -187,6 +189,107 @@ fn journal_truncation_resumes_the_remainder_bit_identically() {
     );
     for (a, b) in reference.results.iter().zip(&resumed.results) {
         assert_eq!(a.as_ref().unwrap(), b.as_ref().unwrap());
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Four scenarios on two warm-up trunks: a sweep of them hydrates or
+/// publishes `.snap` entries, writes cache entries and journals results.
+fn ladder() -> Vec<Scenario> {
+    (0..4u64)
+        .map(|i| {
+            let mut sc = mb(&format!("cut-{i}"), 0.3 + 0.1 * i as f64, 300)
+                .with_warmup(SimDuration::from_millis(100));
+            sc.config.seed = 40 + i % 2;
+            sc
+        })
+        .collect()
+}
+
+fn result_bytes(out: &sweep::SweepOutcome) -> Vec<String> {
+    out.results
+        .iter()
+        .map(|r| serde_json::to_string(r.as_ref().expect("scenario runs")).unwrap())
+        .collect()
+}
+
+/// Every regular file under `dir`, with its bytes.
+fn files_under(dir: &Path) -> Vec<(PathBuf, Vec<u8>)> {
+    let mut out = Vec::new();
+    let mut dirs = vec![dir.to_path_buf()];
+    while let Some(d) = dirs.pop() {
+        for entry in std::fs::read_dir(&d).unwrap().flatten() {
+            let path = entry.path();
+            if path.is_dir() {
+                dirs.push(path);
+            } else {
+                out.push((path.clone(), std::fs::read(&path).unwrap()));
+            }
+        }
+    }
+    out.sort();
+    out
+}
+
+#[test]
+fn a_sweep_syncs_nothing_and_resumes_from_any_cut_to_the_reference_bytes() {
+    let dir = temp_dir("power-cut");
+    let batch = ladder();
+    let reference = result_bytes(&sweep::run_with(&batch, &SweepOptions::serial()));
+    let opts = SweepOptions::serial()
+        .journaled(dir.join("journal"))
+        .cached(dir.join("cache"))
+        .snap_stored(dir.join("snapshots"))
+        .resuming(true);
+    // An earlier invocation leaves durable state for half of the batch.
+    sweep::run_with(&batch[..2], &opts);
+
+    let cut = PowerCut::install(&dir);
+    let out = sweep::run_with(&batch, &opts);
+    assert_eq!(result_bytes(&out), reference);
+    assert!(out.stats.cache_hits > 0 && out.stats.snapshot.published > 0);
+    assert_eq!(
+        cut.syncs(),
+        0,
+        "journal, cache and snapshot writes are derived"
+    );
+    let images = cut.boundaries();
+    drop(cut);
+    assert!(
+        images.len() > batch.len(),
+        "every write is a record boundary"
+    );
+    // Nothing the sweep wrote was synced, so a cut at any boundary leaves
+    // the state it started from, and resuming that reproduces the bytes.
+    assert!(images.iter().all(|image| *image == images[0]));
+    let written = files_under(&dir);
+    let _ = std::fs::remove_dir_all(&dir);
+    images[0].restore().unwrap();
+    assert_eq!(result_bytes(&sweep::run_with(&batch, &opts)), reference);
+
+    // Between that worst case and SIGKILL, which loses nothing, a cut may
+    // leave each unsynced file absent, empty or cut at a record boundary.
+    // Every file gets each treatment in one of three resumes.
+    for turn in 0..3 {
+        let _ = std::fs::remove_dir_all(&dir);
+        for (i, (path, bytes)) in written.iter().enumerate() {
+            let kept: &[u8] = match (i + turn) % 3 {
+                0 => continue,
+                1 => &[],
+                _ => {
+                    let ends: Vec<usize> =
+                        (0..bytes.len()).filter(|&j| bytes[j] == b'\n').collect();
+                    &bytes[..ends.len().checked_sub(2).map_or(0, |j| ends[j] + 1)]
+                }
+            };
+            std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+            std::fs::write(path, kept).unwrap();
+        }
+        assert_eq!(
+            result_bytes(&sweep::run_with(&batch, &opts)),
+            reference,
+            "turn {turn}"
+        );
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
