@@ -52,9 +52,16 @@
 //!   into every member's result key, so prefix-shared results never alias
 //!   non-shared ones in the cache or journal, and a group whose snapshot
 //!   cannot be built or forked degrades member by member to cold runs.
+//!   With a snapshot store, a trunk simulated for a group is published on
+//!   a scoped thread while the members fork, and joined before the group
+//!   returns.
+//! * **Keys, once.** A batch's result keys, snapshot-chain keys and batch
+//!   key are derived together by [`KeyedBatch::new`]; every layer reads
+//!   them from there.
 //!
 //! The typed front door is [`SweepRequest`] → [`SweepReport`];
-//! [`run`] and [`run_with`] remain as the thin functional forms.
+//! [`run`] and [`run_with`] remain as the thin functional forms, and
+//! [`run_cancelable`] runs a batch keyed beforehand.
 
 use crate::result::RunResult;
 use crate::scenario::Scenario;
@@ -647,45 +654,36 @@ pub fn run(scenarios: Vec<Scenario>, jobs: usize) -> Vec<Result<RunResult, SimEr
 /// returns results plus execution statistics. The statistics are also
 /// merged into the global tally read by [`take_stats`].
 pub fn run_with(scenarios: &[Scenario], opts: &SweepOptions) -> SweepOutcome {
-    run_with_cancel(scenarios, opts, None)
+    run_batch(&KeyedBatch::new(scenarios, opts), opts, None)
 }
 
-/// [`run_with`] with a cooperative cancellation token: when `cancel`
-/// trips, in-flight scenarios abandon their event loops (surfacing as
-/// budget errors) and not-yet-started scenarios are skipped — without
+/// Runs a batch keyed beforehand ([`KeyedBatch::new`] under the same
+/// `opts`), with a cooperative cancellation token: when `cancel` trips,
+/// in-flight scenarios abandon their event loops (surfacing as budget
+/// errors) and not-yet-started scenarios are skipped — without
 /// journaling the interruptions as scenario failures, so a later
 /// [`SweepOptions::resume`] of the same batch replays only genuinely
-/// completed work. This is the hook a long-lived server uses to
-/// quarantine a wedged run without restarting the process. Cancellation
-/// applies to the in-process engine; sharded sweeps (`workers > 1`)
-/// already carry their own lease-expiry reclamation and ignore the token.
+/// completed work. This is the hook a long-lived server uses: it keys a
+/// submission once to name the run, then runs it, and can quarantine a
+/// wedged run without restarting the process. Cancellation applies to
+/// the in-process engine; sharded sweeps (`workers > 1`) already carry
+/// their own lease-expiry reclamation and ignore the token.
 pub fn run_cancelable(
-    scenarios: &[Scenario],
+    batch: &KeyedBatch,
     opts: &SweepOptions,
     cancel: &CancelToken,
 ) -> SweepOutcome {
-    run_with_cancel(scenarios, opts, Some(cancel))
+    run_batch(batch, opts, Some(cancel))
 }
 
-fn run_with_cancel(
-    scenarios: &[Scenario],
+fn run_batch(
+    batch: &KeyedBatch,
     opts: &SweepOptions,
     cancel: Option<&CancelToken>,
 ) -> SweepOutcome {
-    // The supervisor runs the *effective* scenarios: the batch-level audit
-    // override is folded into each scenario's config up front, so cache
-    // keys, journal keys and execution all agree on what actually runs.
-    let effective: Vec<Scenario> = scenarios
-        .iter()
-        .map(|sc| effective_scenario(sc, opts))
-        .collect();
-    let keys: Vec<String> = effective
-        .iter()
-        .map(|sc| cache_key_with(sc, opts))
-        .collect();
-
+    let scenarios = &batch.scenarios;
     if opts.workers > 1 && !scenarios.is_empty() {
-        let outcome = shard::run_sharded(scenarios, &keys, opts);
+        let outcome = shard::run_sharded(batch, opts);
         TALLY
             .lock()
             .expect("stats tally poisoned")
@@ -693,7 +691,7 @@ fn run_with_cancel(
         return outcome;
     }
 
-    let journal = open_journal(opts, &keys);
+    let journal = open_journal(opts, &batch.batch_key);
     let resumed_map = match (&journal, opts.resume) {
         (Some(j), true) => replay_journal(&j.lock().expect("journal poisoned")),
         _ => HashMap::new(),
@@ -709,8 +707,8 @@ fn run_with_cancel(
         store: store.as_ref(),
         snap: &snap_tally,
     };
-    let indices: Vec<usize> = (0..effective.len()).collect();
-    let raw = execute_indices(&indices, &effective, &keys, &env, opts.effective_jobs());
+    let indices: Vec<usize> = (0..scenarios.len()).collect();
+    let raw = execute_indices(&indices, batch, &env, opts.effective_jobs());
 
     let mut results = Vec::with_capacity(scenarios.len());
     let mut attempts = Vec::with_capacity(scenarios.len());
@@ -1054,6 +1052,8 @@ impl SnapshotSpec {
     /// in its serialized form, so the fingerprint is already a function of
     /// this key.
     pub fn key(&self) -> String {
+        #[cfg(test)]
+        tests::count_serialization(&self.prefix, true);
         let json =
             serde_json::to_string(&self.prefix).expect("scenario serialization is infallible");
         let mut data = json.into_bytes();
@@ -1073,24 +1073,25 @@ enum Unit {
 }
 
 /// Partitions scenario indices into execution units. Scenarios whose
-/// *root* prefix keys ([`SnapshotSpec::root_of`]) are equal land in one
-/// fork group (submission order preserved within it); everything else —
-/// no warm-up point, prefix sharing disabled, or a prefix nobody shares —
-/// runs standalone. For plain warm-up scenarios the root key *is* the
-/// full prefix key, so flat grouping is unchanged; ladder members
+/// *root* prefix keys (the first of [`KeyedBatch::chain`], which is
+/// [`SnapshotSpec::root_of`]'s key) are equal land in one fork group
+/// (submission order preserved within it); everything else — no warm-up
+/// point, prefix sharing disabled, or a prefix nobody shares — runs
+/// standalone. For plain warm-up scenarios the root key *is* the full
+/// prefix key, so flat grouping is unchanged; ladder members
 /// ([`Scenario::warmup_via`]) additionally join the group of their
 /// shallowest ancestor, and [`run_group`] decides whether the group forms
 /// a single nested chain or must degrade to per-leaf flat sharing.
-fn plan_units(indices: &[usize], effective: &[Scenario], opts: &SweepOptions) -> Vec<Unit> {
+fn plan_units(indices: &[usize], batch: &KeyedBatch, opts: &SweepOptions) -> Vec<Unit> {
     let mut units: Vec<Unit> = Vec::with_capacity(indices.len());
     if !opts.prefix_share {
         units.extend(indices.iter().map(|&i| Unit::One(i)));
         return units;
     }
-    let mut group_at: HashMap<String, usize> = HashMap::new();
+    let mut group_at: HashMap<&str, usize> = HashMap::new();
     for &i in indices {
-        match SnapshotSpec::root_of(&effective[i]) {
-            Some(spec) => match group_at.get(&spec.key()) {
+        match batch.chain(i).first() {
+            Some(root) => match group_at.get(root.as_str()) {
                 Some(&u) => {
                     let Unit::Group(members) = &mut units[u] else {
                         unreachable!("group_at only points at Group units")
@@ -1098,7 +1099,7 @@ fn plan_units(indices: &[usize], effective: &[Scenario], opts: &SweepOptions) ->
                     members.push(i);
                 }
                 None => {
-                    group_at.insert(spec.key(), units.len());
+                    group_at.insert(root, units.len());
                     units.push(Unit::Group(vec![i]));
                 }
             },
@@ -1123,12 +1124,11 @@ fn plan_units(indices: &[usize], effective: &[Scenario], opts: &SweepOptions) ->
 /// error.
 pub(crate) fn execute_indices(
     indices: &[usize],
-    effective: &[Scenario],
-    keys: &[String],
+    batch: &KeyedBatch,
     env: &ExecEnv<'_>,
     jobs: usize,
 ) -> Vec<Supervised> {
-    let units = plan_units(indices, effective, env.opts);
+    let units = plan_units(indices, batch, env.opts);
     let membership: Vec<Vec<usize>> = units
         .iter()
         .map(|u| match u {
@@ -1139,8 +1139,8 @@ pub(crate) fn execute_indices(
     let fresh = CancelToken::new();
     let cancel = env.cancel.unwrap_or(&fresh);
     let raw = pool::scoped_map_cancelable(units, jobs, cancel, |_, unit| match unit {
-        Unit::One(i) => vec![(i, run_one(i, &effective[i], &keys[i], env))],
-        Unit::Group(members) => run_group(&members, effective, keys, env),
+        Unit::One(i) => vec![(i, run_one(i, batch, env))],
+        Unit::Group(members) => run_group(&members, batch, env),
     });
     let pos: HashMap<usize, usize> = indices.iter().enumerate().map(|(p, &i)| (i, p)).collect();
     let mut out: Vec<Option<Supervised>> = indices.iter().map(|_| None).collect();
@@ -1158,7 +1158,7 @@ pub(crate) fn execute_indices(
                 for i in members {
                     out[pos[&i]] = Some(Supervised::escaped(
                         i,
-                        effective[i].label.clone(),
+                        batch.scenarios[i].label.clone(),
                         detail.clone(),
                     ));
                 }
@@ -1181,17 +1181,21 @@ pub(crate) fn execute_indices(
 /// tries to hydrate its trunk chain from the store (publishing a freshly
 /// built chain otherwise), so even singleton scenarios reuse trunks warmed
 /// by earlier invocations, sibling workers, or other hosts.
-fn run_one(i: usize, sc: &Scenario, key: &str, env: &ExecEnv<'_>) -> Supervised {
+fn run_one(i: usize, batch: &KeyedBatch, env: &ExecEnv<'_>) -> Supervised {
+    let (sc, key, chain) = (&batch.scenarios[i], &batch.keys[i], batch.chain(i));
     let warm = env.store.is_some()
-        && SnapshotSpec::of(sc).is_some()
+        && !chain.is_empty()
         && !env.resumed.contains_key(key)
         && !cache_entry_present(env.opts, key);
     if !warm {
         return supervise(i, sc, key, env, None);
     }
-    let snapshots = build_chain_snapshots(sc, env);
-    let snap = snapshots.as_ref().and_then(|s| s.last());
-    supervise(i, sc, key, env, snap)
+    let trunk = build_chain_snapshots(sc, chain, env);
+    let snap = trunk.as_ref().and_then(|t| t.snaps.last());
+    let unpublished = trunk
+        .as_ref()
+        .map_or_else(Vec::new, |t| t.unpublished(chain));
+    publishing(env, &unpublished, || supervise(i, sc, key, env, snap))
 }
 
 /// Executes one fork group serially on the calling worker thread.
@@ -1200,21 +1204,18 @@ fn run_one(i: usize, sc: &Scenario, key: &str, env: &ExecEnv<'_>) -> Supervised 
 /// actually simulate — below that a cold run is strictly cheaper.
 ///
 /// The group shares a *root* prefix ([`SnapshotSpec::root_of`]); members'
-/// full chains ([`Scenario::chain_points`]) may extend it to different
-/// depths. When every pending chain is a prefix of the deepest one — a
-/// *ladder* — the deepest member's prefix is simulated **once** with a
-/// snapshot captured at every rung ([`Scenario::snapshot_prefix_chain`]),
-/// and each member forks from its own depth: nested prefixes fork from
-/// forks of the same trunk, so each shared segment simulates exactly
-/// once. When chains genuinely branch, the group degrades to flat
-/// sharing per leaf prefix key — exactly the pre-tree behavior, one
-/// snapshot per set of identical full prefixes.
-fn run_group(
-    members: &[usize],
-    effective: &[Scenario],
-    keys: &[String],
-    env: &ExecEnv<'_>,
-) -> Vec<(usize, Supervised)> {
+/// full chains ([`KeyedBatch::chain`]) may extend it to different depths.
+/// When every pending chain is a prefix of the deepest one — a *ladder* —
+/// the deepest member's prefix is simulated **once** with a snapshot
+/// captured at every rung ([`Scenario::snapshot_prefix_chain`]), and each
+/// member forks from its own depth: nested prefixes fork from forks of
+/// the same trunk, so each shared segment simulates exactly once. When
+/// chains genuinely branch, the group degrades to flat sharing per leaf
+/// prefix key — exactly the pre-tree behavior, one snapshot per set of
+/// identical full prefixes. Freshly simulated snapshots are published to
+/// the store while the members run ([`publishing`]).
+fn run_group(members: &[usize], batch: &KeyedBatch, env: &ExecEnv<'_>) -> Vec<(usize, Supervised)> {
+    let (effective, keys) = (&batch.scenarios, &batch.keys);
     let pending: Vec<usize> = members
         .iter()
         .copied()
@@ -1229,58 +1230,70 @@ fn run_group(
             .collect();
     }
 
-    let chains: HashMap<usize, Vec<SimDuration>> = pending
-        .iter()
-        .map(|&i| (i, effective[i].chain_points()))
-        .collect();
+    // Chain keys name each rung's prefix and instant, so within one root
+    // group a chain extends another exactly when its keys do.
     let trunk = *pending
         .iter()
-        .max_by_key(|&&i| chains[&i].len())
+        .max_by_key(|&&i| batch.chain(i).len())
         .expect("pending is non-empty");
     let ladder = pending
         .iter()
-        .all(|&i| chains[&trunk].starts_with(&chains[&i]));
+        .all(|&i| batch.chain(trunk).starts_with(batch.chain(i)));
 
     if ladder {
         // One trunk simulation, one snapshot per rung; member i resumes
         // from the rung its own warm-up point sits on. A missing rung
         // (build failed) degrades that member to a cold run inside
         // `supervise`, with full retry semantics.
-        let snapshots = build_chain_snapshots(&effective[trunk], env);
-        return members
-            .iter()
-            .map(|&i| {
-                let snap = chains
-                    .get(&i)
-                    .and_then(|c| snapshots.as_ref()?.get(c.len() - 1));
-                (i, supervise(i, &effective[i], &keys[i], env, snap))
-            })
-            .collect();
+        let built = build_chain_snapshots(&effective[trunk], batch.chain(trunk), env);
+        let unpublished = built
+            .as_ref()
+            .map_or_else(Vec::new, |t| t.unpublished(batch.chain(trunk)));
+        return publishing(env, &unpublished, || {
+            members
+                .iter()
+                .map(|&i| {
+                    let snap = pending
+                        .contains(&i)
+                        .then(|| built.as_ref()?.snaps.get(batch.chain(i).len() - 1))
+                        .flatten();
+                    (i, supervise(i, &effective[i], &keys[i], env, snap))
+                })
+                .collect()
+        });
     }
 
     // Branching chains: fall back to one flat snapshot per leaf prefix,
     // built from the first pending member of each leaf with sharers.
-    let mut leaf_of: HashMap<usize, String> = HashMap::new();
-    let mut leaf_members: HashMap<String, Vec<usize>> = HashMap::new();
+    let mut leaf_members: HashMap<&String, Vec<usize>> = HashMap::new();
     for &i in &pending {
-        if let Some(spec) = SnapshotSpec::of(&effective[i]) {
-            let key = spec.key();
-            leaf_of.insert(i, key.clone());
-            leaf_members.entry(key).or_default().push(i);
+        if let Some(leaf) = batch.chain(i).last() {
+            leaf_members.entry(leaf).or_default().push(i);
         }
     }
-    let leaf_snaps: HashMap<&String, SimSnapshot> = leaf_members
+    let leaf_snaps: HashMap<&String, Trunk> = leaf_members
         .iter()
         .filter(|(_, m)| m.len() >= 2)
-        .filter_map(|(k, m)| Some((k, build_group_snapshot(&effective[m[0]], env)?)))
+        .filter_map(|(&k, m)| Some((k, build_group_snapshot(&effective[m[0]], k, env)?)))
         .collect();
-    members
+    let unpublished: Vec<(&str, &SimSnapshot, f64)> = leaf_snaps
         .iter()
-        .map(|&i| {
-            let snap = leaf_of.get(&i).and_then(|k| leaf_snaps.get(k));
-            (i, supervise(i, &effective[i], &keys[i], env, snap))
-        })
-        .collect()
+        .flat_map(|(&k, t)| t.unpublished(std::slice::from_ref(k)))
+        .collect();
+    publishing(env, &unpublished, || {
+        members
+            .iter()
+            .map(|&i| {
+                let snap = pending
+                    .contains(&i)
+                    .then(|| batch.chain(i).last())
+                    .flatten()
+                    .and_then(|k| leaf_snaps.get(k))
+                    .map(|t| &t.snaps[0]);
+                (i, supervise(i, &effective[i], &keys[i], env, snap))
+            })
+            .collect()
+    })
 }
 
 /// Whether a cache entry exists for `key` (existence only — the
@@ -1302,26 +1315,49 @@ pub(crate) fn snap_store_for(opts: &SweepOptions) -> Option<SnapStore> {
     opts.snap_store.as_ref().map(SnapStore::open)
 }
 
-/// Simulates a fork group's shared prefix and captures it — after first
-/// offering the persistent store a chance to hydrate the warmed state
-/// instead. Any build failure — typed error or panic — degrades the whole
-/// group to cold runs (`None`); per-member supervision then reports
-/// whatever is actually wrong with full retry/quarantine semantics.
-fn build_group_snapshot(sc: &Scenario, env: &ExecEnv<'_>) -> Option<SimSnapshot> {
-    let spec = SnapshotSpec::of(sc)?;
-    let key = spec.key();
+/// The snapshots a trunk build produced, root first, and — when they
+/// were simulated here rather than hydrated from the store — each one's
+/// build time, which its store entry records.
+struct Trunk {
+    snaps: Vec<SimSnapshot>,
+    built_ms: Option<Vec<f64>>,
+}
+
+impl Trunk {
+    /// What the store is owed: `(key, snapshot, build ms)` for each rung
+    /// simulated here, keyed by `keys` (one per snapshot); nothing for a
+    /// hydrated trunk.
+    fn unpublished<'a>(&'a self, keys: &'a [String]) -> Vec<(&'a str, &'a SimSnapshot, f64)> {
+        self.built_ms
+            .iter()
+            .flat_map(|ms| keys.iter().zip(&self.snaps).zip(ms))
+            .map(|((key, snap), &ms)| (key.as_str(), snap, ms))
+            .collect()
+    }
+}
+
+/// Simulates a fork group's shared prefix (whose key is `key`) and
+/// captures it — after first offering the persistent store a chance to
+/// hydrate the warmed state instead. Any build failure — typed error or
+/// panic — degrades the whole group to cold runs (`None`); per-member
+/// supervision then reports whatever is actually wrong with full
+/// retry/quarantine semantics.
+fn build_group_snapshot(sc: &Scenario, key: &str, env: &ExecEnv<'_>) -> Option<Trunk> {
     if let Some(store) = env.store {
-        if let Some(entry) = store.load(&key) {
+        if let Some(entry) = store.load(key) {
             match hydrate_entry(sc, &entry) {
                 Some(snap) => {
                     let mut tally = env.snap.lock().expect("snapshot tally poisoned");
                     tally.hydrated += 1;
                     tally.trunk_ms_saved += entry.warm_ms;
-                    return Some(snap);
+                    return Some(Trunk {
+                        snaps: vec![snap],
+                        built_ms: None,
+                    });
                 }
                 // Checksummed bytes whose hydrated state still fails the
                 // fingerprint are never trusted: drop and rebuild.
-                None => store.invalidate(&key),
+                None => store.invalidate(key),
             }
         }
     }
@@ -1335,16 +1371,15 @@ fn build_group_snapshot(sc: &Scenario, env: &ExecEnv<'_>) -> Option<SimSnapshot>
             .ok()?
             .ok()?;
     let warm_ms = started.elapsed().as_secs_f64() * 1e3;
-    let mut tally = env.snap.lock().expect("snapshot tally poisoned");
-    tally.trunk_runs += 1;
-    if let Some(store) = env.store {
-        tally.published += publish_rungs(store, &[(key, &snap, warm_ms)]);
-    }
-    Some(snap)
+    env.snap.lock().expect("snapshot tally poisoned").trunk_runs += 1;
+    Some(Trunk {
+        snaps: vec![snap],
+        built_ms: Some(vec![warm_ms]),
+    })
 }
 
-/// Simulates a ladder group's trunk — the deepest member's prefix — once,
-/// capturing a snapshot at every chain rung
+/// Simulates a ladder group's trunk — the deepest member's prefix, whose
+/// rung keys are `keys` — once, capturing a snapshot at every chain rung
 /// ([`Scenario::snapshot_prefix_chain`]) — unless the persistent store can
 /// hydrate the *whole* chain, in which case no trunk simulation happens at
 /// all. Hydration is all-or-rebuild: one missing, corrupt or
@@ -1352,20 +1387,21 @@ fn build_group_snapshot(sc: &Scenario, env: &ExecEnv<'_>) -> Option<SimSnapshot>
 /// so forks never mix rungs from different trunk executions. Same
 /// degradation contract as [`build_group_snapshot`]: any build failure
 /// returns `None` and the whole group runs cold.
-fn build_chain_snapshots(sc: &Scenario, env: &ExecEnv<'_>) -> Option<Vec<SimSnapshot>> {
-    let specs = SnapshotSpec::chain_of(sc);
-    if specs.is_empty() {
+fn build_chain_snapshots(sc: &Scenario, keys: &[String], env: &ExecEnv<'_>) -> Option<Trunk> {
+    if keys.is_empty() {
         return None;
     }
-    let keys: Vec<String> = specs.iter().map(SnapshotSpec::key).collect();
     if let Some(store) = env.store {
-        if let Some((snaps, saved_ms)) = hydrate_chain(sc, &keys, store) {
+        if let Some((snaps, saved_ms)) = hydrate_chain(sc, keys, store) {
             let mut tally = env.snap.lock().expect("snapshot tally poisoned");
             tally.hydrated += snaps.len() as u64;
             // Warm-up times along one trunk are cumulative, so the deepest
             // rung's recorded build time is the whole replay just avoided.
             tally.trunk_ms_saved += saved_ms;
-            return Some(snaps);
+            return Some(Trunk {
+                snaps,
+                built_ms: None,
+            });
         }
     }
     let mut budget = env.opts.budget();
@@ -1377,17 +1413,12 @@ fn build_chain_snapshots(sc: &Scenario, env: &ExecEnv<'_>) -> Option<Vec<SimSnap
     }))
     .ok()?
     .ok()?;
-    let mut tally = env.snap.lock().expect("snapshot tally poisoned");
-    tally.trunk_runs += 1;
-    if let Some(store) = env.store {
-        let rungs: Vec<(String, &SimSnapshot, f64)> = keys
-            .iter()
-            .zip(&timed)
-            .map(|(k, (snap, ms))| (k.clone(), snap, *ms))
-            .collect();
-        tally.published += publish_rungs(store, &rungs);
-    }
-    Some(timed.into_iter().map(|(snap, _)| snap).collect())
+    env.snap.lock().expect("snapshot tally poisoned").trunk_runs += 1;
+    let (snaps, built_ms) = timed.into_iter().unzip();
+    Some(Trunk {
+        snaps,
+        built_ms: Some(built_ms),
+    })
 }
 
 /// Hydrates every rung of a trunk chain from the store, returning the
@@ -1427,21 +1458,51 @@ fn hydrate_entry(sc: &Scenario, entry: &SnapEntry) -> Option<SimSnapshot> {
     .ok()
 }
 
+/// Runs `members` while a scoped thread encodes and writes `rungs` —
+/// trunk snapshots this group simulated — to the store, so the group's
+/// forks do not wait on the publish. Both are done before this returns,
+/// so by the time the group reports, the store holds what landed and the
+/// tally counts it.
+fn publishing<R>(
+    env: &ExecEnv<'_>,
+    rungs: &[(&str, &SimSnapshot, f64)],
+    members: impl FnOnce() -> R,
+) -> R {
+    let Some(store) = env.store.filter(|_| !rungs.is_empty()) else {
+        return members();
+    };
+    let (out, published) = beside(|| publish_rungs(store, rungs), members);
+    env.snap.lock().expect("snapshot tally poisoned").published += published;
+    out
+}
+
+/// Runs `publish` on a scoped thread and `members` on this one, and
+/// returns both outcomes once both are done. A publish that panics counts
+/// as nothing published: the store is an optimization, so the members'
+/// results stand.
+fn beside<R>(publish: impl FnOnce() -> u64 + Send, members: impl FnOnce() -> R) -> (R, u64) {
+    std::thread::scope(|s| {
+        let publisher = s.spawn(publish);
+        let out = members();
+        (out, publisher.join().unwrap_or(0))
+    })
+}
+
 /// Publishes freshly built trunk rungs to the store; returns how many
 /// landed. Serialization refusals (a behavior without `save_box`) and I/O
 /// failures are tolerated — the in-process snapshots still fork fine, the
 /// store just stays cold.
-fn publish_rungs(store: &SnapStore, rungs: &[(String, &SimSnapshot, f64)]) -> u64 {
+fn publish_rungs(store: &SnapStore, rungs: &[(&str, &SimSnapshot, f64)]) -> u64 {
     let mut published = 0;
-    for (key, snap, warm_ms) in rungs {
+    for &(key, snap, warm_ms) in rungs {
         // Deeper rungs share the shallow rungs' tasks, so the first
         // unserializable rung means the rest cannot serialize either.
         let Ok(state) = snap.to_payload() else { break };
         let entry = SnapEntry {
             version: SNAP_FORMAT_VERSION,
-            key: key.clone(),
+            key: key.to_string(),
             fingerprint: snap.fingerprint(),
-            warm_ms: *warm_ms,
+            warm_ms,
             state,
         };
         if store.publish(&entry).is_ok() {
@@ -1489,6 +1550,18 @@ fn effective_scenario(sc: &Scenario, opts: &SweepOptions) -> Scenario {
     sc
 }
 
+/// A scenario's canonical JSON followed by the crate version: the head
+/// of every result key.
+fn keyed_form(sc: &Scenario) -> Vec<u8> {
+    #[cfg(test)]
+    tests::count_serialization(sc, false);
+    let json = serde_json::to_string(sc).expect("scenario serialization is infallible");
+    let mut data = json.into_bytes();
+    data.push(0);
+    data.extend_from_slice(env!("CARGO_PKG_VERSION").as_bytes());
+    data
+}
+
 /// The cache key of a scenario: a 64-bit FNV-1a hash (16 hex digits) over
 /// its canonical JSON serialization plus the crate version. The JSON form
 /// covers the platform preset, full [`crate::SystemConfig`] (seed and
@@ -1496,11 +1569,7 @@ fn effective_scenario(sc: &Scenario, opts: &SweepOptions) -> Scenario {
 /// changes the key; the version guard invalidates the cache whenever the
 /// simulator itself may have changed.
 pub fn cache_key(sc: &Scenario) -> String {
-    let json = serde_json::to_string(sc).expect("scenario serialization is infallible");
-    let mut data = json.into_bytes();
-    data.push(0);
-    data.extend_from_slice(env!("CARGO_PKG_VERSION").as_bytes());
-    format!("{:016x}", fnv1a(&data))
+    format!("{:016x}", fnv1a(&keyed_form(sc)))
 }
 
 /// [`cache_key`] extended with the sweep options' behavior-relevant
@@ -1513,15 +1582,19 @@ pub fn cache_key(sc: &Scenario) -> String {
 /// [`SweepOptions::prefix_share`] itself (forked and cold runs are
 /// bit-identical) — deliberately do *not* enter the key.
 pub fn cache_key_with(sc: &Scenario, opts: &SweepOptions) -> String {
-    let json = serde_json::to_string(sc).expect("scenario serialization is infallible");
-    let mut data = json.into_bytes();
-    data.push(0);
-    data.extend_from_slice(env!("CARGO_PKG_VERSION").as_bytes());
+    let prefix = SnapshotSpec::of(sc).map(|spec| spec.key());
+    result_key(sc, opts, prefix.as_deref())
+}
+
+/// [`cache_key_with`] of `sc`, given its prefix key (the last of its
+/// chain keys) when it has a warm-up point.
+fn result_key(sc: &Scenario, opts: &SweepOptions, prefix: Option<&str>) -> String {
+    let mut data = keyed_form(sc);
     data.push(0);
     data.extend_from_slice(format!("features:audit={}", opts.audit).as_bytes());
-    if let Some(spec) = SnapshotSpec::of(sc) {
+    if let Some(prefix) = prefix {
         data.push(0);
-        data.extend_from_slice(format!("prefix:{}", spec.key()).as_bytes());
+        data.extend_from_slice(format!("prefix:{prefix}").as_bytes());
     }
     format!("{:016x}", fnv1a(&data))
 }
@@ -1539,27 +1612,99 @@ pub fn batch_key(keys: &[String]) -> String {
 
 /// The batch key [`run_with`] will derive for `scenarios` under `opts` —
 /// and therefore the name of the batch's journal file
-/// (`<journal_dir>/<key>.jsonl`). Long-lived front ends (the serve
-/// daemon) use this to identify a submission *before* running it: the
-/// same scenarios under the same options always map to the same key, so
-/// a resubmitted batch is recognized, its journal adopted, and its
-/// progress observable from outside the engine.
+/// (`<journal_dir>/<key>.jsonl`). The same scenarios under the same
+/// options always map to the same key, so a resubmitted batch is
+/// recognized and its journal adopted. A caller that goes on to run the
+/// batch keys it once with [`KeyedBatch::new`] instead.
 pub fn batch_key_for(scenarios: &[Scenario], opts: &SweepOptions) -> String {
-    let keys: Vec<String> = scenarios
-        .iter()
-        .map(|sc| cache_key_with(&effective_scenario(sc, opts), opts))
-        .collect();
-    batch_key(&keys)
+    KeyedBatch::new(scenarios, opts).batch_key
+}
+
+/// A batch keyed once: each scenario in the form the engine runs it
+/// (batch-level option overrides folded in), its result key
+/// ([`cache_key_with`]), the keys of its snapshot chain
+/// ([`SnapshotSpec::chain_of`], root first) and the batch key naming its
+/// journal ([`batch_key`]). The planner, the snapshot store, the journal
+/// and the shard fleet all read their keys from it, so keying serializes
+/// each scenario and each chain prefix once. Long-lived front ends (the
+/// serve daemon) build it at admission, name the run by
+/// [`KeyedBatch::batch_key`] before running anything, and hand the same
+/// value to [`run_cancelable`].
+///
+/// Keys depend on the [`SweepOptions`] a batch is keyed under (through
+/// [`SweepOptions::audit`]), so it must run under the same options.
+#[derive(Debug)]
+pub struct KeyedBatch {
+    scenarios: Vec<Scenario>,
+    keys: Vec<String>,
+    chains: Vec<Vec<String>>,
+    batch_key: String,
+}
+
+impl KeyedBatch {
+    /// Keys `scenarios` as a sweep under `opts` runs them.
+    pub fn new(scenarios: &[Scenario], opts: &SweepOptions) -> KeyedBatch {
+        let scenarios: Vec<Scenario> = scenarios
+            .iter()
+            .map(|sc| effective_scenario(sc, opts))
+            .collect();
+        let chains: Vec<Vec<String>> = scenarios
+            .iter()
+            .map(|sc| {
+                SnapshotSpec::chain_of(sc)
+                    .iter()
+                    .map(SnapshotSpec::key)
+                    .collect()
+            })
+            .collect();
+        let keys: Vec<String> = scenarios
+            .iter()
+            .zip(&chains)
+            .map(|(sc, chain)| result_key(sc, opts, chain.last().map(String::as_str)))
+            .collect();
+        let batch_key = batch_key(&keys);
+        KeyedBatch {
+            scenarios,
+            keys,
+            chains,
+            batch_key,
+        }
+    }
+
+    /// The scenarios as the engine runs them, in submission order.
+    pub fn scenarios(&self) -> &[Scenario] {
+        &self.scenarios
+    }
+
+    /// Each scenario's result key, in submission order.
+    pub fn keys(&self) -> &[String] {
+        &self.keys
+    }
+
+    /// The keys of scenario `i`'s snapshot chain, root first; empty
+    /// without a warm-up point.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `i` is not a scenario index of the batch.
+    pub fn chain(&self, i: usize) -> &[String] {
+        &self.chains[i]
+    }
+
+    /// The batch key: the run's name and its journal's file stem.
+    pub fn batch_key(&self) -> &str {
+        &self.batch_key
+    }
 }
 
 // ---- journal ---------------------------------------------------------------
 
-/// Opens the batch's journal when journaling is configured.
-/// Open failures degrade to "no journal": the sweep itself must never die
-/// on supervision I/O.
-fn open_journal(opts: &SweepOptions, keys: &[String]) -> Option<Mutex<Journal>> {
+/// Opens the batch's journal, `<journal_dir>/<batch_key>.jsonl`, when
+/// journaling is configured. Open failures degrade to "no journal": the
+/// sweep itself must never die on supervision I/O.
+fn open_journal(opts: &SweepOptions, batch_key: &str) -> Option<Mutex<Journal>> {
     let dir = opts.journal_dir.as_deref()?;
-    let path = dir.join(format!("{}.jsonl", batch_key(keys)));
+    let path = dir.join(format!("{batch_key}.jsonl"));
     Journal::open(path, opts.resume).ok().map(Mutex::new)
 }
 
@@ -1788,6 +1933,22 @@ mod tests {
     use crate::config::SystemConfig;
     use bl_platform::ids::CpuId;
     use bl_simcore::time::SimDuration;
+    use std::collections::BTreeMap;
+
+    /// Serializations made for keys, per scenario seed: `[scenarios,
+    /// prefixes]`. Tallied by seed so tests running in parallel each see
+    /// only their own batches.
+    static SERIALIZED: Mutex<BTreeMap<u64, [u64; 2]>> = Mutex::new(BTreeMap::new());
+
+    pub(super) fn count_serialization(sc: &Scenario, prefix: bool) {
+        let mut tally = SERIALIZED.lock().expect("serialization tally poisoned");
+        tally.entry(sc.config.seed).or_default()[usize::from(prefix)] += 1;
+    }
+
+    fn serialized(seed: u64) -> [u64; 2] {
+        let tally = SERIALIZED.lock().expect("serialization tally poisoned");
+        tally.get(&seed).copied().unwrap_or_default()
+    }
 
     fn mb(label: &str, duty: f64) -> Scenario {
         Scenario::microbench(
@@ -2063,6 +2224,160 @@ mod tests {
             } else {
                 assert!(got.is_none(), "damaged cache entry loaded");
                 assert!(!path.exists(), "damaged cache entry was not deleted");
+            }
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A microbench warmed up to `warmup` ms through the checkpoints
+    /// `via` (ms); `late` picks its late bindings, which stay out of its
+    /// prefix.
+    fn rung(label: &str, seed: u64, via: &[u64], warmup: u64, late: usize) -> Scenario {
+        use bl_governor::GovernorConfig;
+        let governors = [GovernorConfig::Performance, GovernorConfig::Powersave];
+        Scenario::microbench(
+            label,
+            CpuId(0),
+            0.4,
+            SimDuration::from_millis(10),
+            SimDuration::from_millis(300),
+            SystemConfig::baseline().with_seed(seed),
+        )
+        .with_warmup(SimDuration::from_millis(warmup))
+        .with_warmup_via(via.iter().map(|&ms| SimDuration::from_millis(ms)).collect())
+        .with_late(crate::LateBindings {
+            governors: (late > 0).then(|| vec![governors[late % 2]; 2]),
+            faults: bl_simcore::fault::FaultPlan::new(),
+        })
+    }
+
+    /// Two rungs (100 ms, then 200 ms through 100 ms) times two bindings.
+    fn two_by_two(seed: u64) -> Vec<Scenario> {
+        [(&[][..], 100), (&[100][..], 200)]
+            .iter()
+            .enumerate()
+            .flat_map(|(level, &(via, warmup))| {
+                (0..2).map(move |b| rung(&format!("l{level}-b{b}"), seed, via, warmup, b))
+            })
+            .collect()
+    }
+
+    fn result_bytes(out: &SweepOutcome) -> Vec<String> {
+        out.results
+            .iter()
+            .map(|r| serde_json::to_string(r.as_ref().expect("scenario runs")).unwrap())
+            .collect()
+    }
+
+    #[test]
+    fn a_keyed_batch_holds_the_keys_each_key_function_derives() {
+        let mut batch = vec![mb("cold", 0.3)];
+        // Flat warm-ups sharing a prefix, a ladder, and chains that branch
+        // after a shared root.
+        batch.extend([
+            rung("flat-a", 1, &[], 100, 0),
+            rung("flat-b", 1, &[], 100, 1),
+        ]);
+        batch.extend([
+            rung("rung-0", 2, &[], 100, 0),
+            rung("rung-1", 2, &[100], 200, 1),
+            rung("rung-2", 2, &[100, 200], 250, 2),
+        ]);
+        batch.extend([
+            rung("branch-a", 3, &[100], 200, 0),
+            rung("branch-b", 3, &[100], 250, 1),
+        ]);
+        let plain = SweepOptions::serial();
+        let audited = SweepOptions::serial().audited(true);
+        for opts in [&plain, &audited] {
+            let keyed = KeyedBatch::new(&batch, opts);
+            for (i, sc) in batch.iter().enumerate() {
+                let effective = &keyed.scenarios()[i];
+                assert_eq!(effective.config.audit, opts.audit, "#{i}");
+                assert_eq!(effective.label, sc.label);
+                assert_eq!(keyed.keys()[i], cache_key_with(effective, opts), "#{i}");
+                let chain: Vec<String> = SnapshotSpec::chain_of(effective)
+                    .iter()
+                    .map(SnapshotSpec::key)
+                    .collect();
+                assert_eq!(keyed.chain(i), chain, "#{i}");
+                assert_eq!(chain.len(), sc.chain_points().len(), "#{i}");
+            }
+            assert_eq!(keyed.batch_key(), batch_key(keyed.keys()));
+        }
+        // The audit override is part of every key.
+        let (a, b) = (
+            KeyedBatch::new(&batch, &plain),
+            KeyedBatch::new(&batch, &audited),
+        );
+        assert!(a.keys().iter().zip(b.keys()).all(|(a, b)| a != b));
+        assert_ne!(a.batch_key(), b.batch_key());
+        // The ladder's rungs and the branches share their root.
+        assert_eq!(a.chain(3)[0], a.chain(5)[0]);
+        assert_eq!(a.chain(4), &a.chain(5)[..2]);
+        assert_eq!(a.chain(6)[0], a.chain(7)[0]);
+        assert_ne!(a.chain(6)[1], a.chain(7)[1]);
+    }
+
+    #[test]
+    fn keying_a_two_by_two_ladder_serializes_each_scenario_and_prefix_once() {
+        // A seed no other test uses: the tally is per seed.
+        const SEED: u64 = 0x6b65_7965_6420_6f6e;
+        let batch = two_by_two(SEED);
+        let opts = SweepOptions::serial();
+        let keyed = KeyedBatch::new(&batch, &opts);
+        // One serialization per scenario, and one per chain level of each:
+        // 1 + 1 + 2 + 2 prefixes.
+        assert_eq!(serialized(SEED), [4, 6]);
+        let out = run_cancelable(&keyed, &opts, &CancelToken::new());
+        assert_eq!(serialized(SEED), [4, 6], "run_cancelable derives no key");
+        assert_eq!(out.stats.forked, 4, "one trunk, every member forked");
+        let cold = run_with(&batch, &SweepOptions::serial().prefix_sharing(false));
+        assert_eq!(result_bytes(&out), result_bytes(&cold));
+    }
+
+    #[test]
+    fn a_publish_that_panics_counts_as_unpublished_and_spares_the_members() {
+        let (members, published) = beside(|| -> u64 { panic!("publish failed") }, || 42);
+        assert_eq!((members, published), (42, 0));
+    }
+
+    #[test]
+    fn the_store_holds_every_published_rung_when_the_sweep_returns() {
+        let dir = temp_dir("publisher");
+        // A ladder group, a branching group and a singleton, so every
+        // path that publishes a trunk runs.
+        let mut batch = two_by_two(61);
+        batch.extend([
+            rung("branch-a", 62, &[100], 200, 0),
+            rung("branch-a2", 62, &[100], 200, 1),
+        ]);
+        batch.extend([
+            rung("branch-b", 62, &[100], 250, 0),
+            rung("branch-b2", 62, &[100], 250, 1),
+        ]);
+        batch.push(rung("alone", 63, &[100], 200, 0));
+        let reference = result_bytes(&run_with(&batch, &SweepOptions::serial()));
+
+        // A store whose directory path is a regular file takes nothing.
+        let file = dir.join("not-a-dir");
+        std::fs::write(&file, b"x").unwrap();
+        let out = run_with(&batch, &SweepOptions::serial().snap_stored(&file));
+        assert_eq!(result_bytes(&out), reference);
+        assert_eq!(out.stats.snapshot.published, 0);
+        assert_eq!(out.stats.snapshot.trunk_runs, 4);
+
+        // A working store holds every rung the sweep reports published.
+        let store = dir.join("snapshots");
+        let opts = SweepOptions::with_jobs(2).snap_stored(&store);
+        let out = run_with(&batch, &opts);
+        assert_eq!(result_bytes(&out), reference);
+        // Ladder 2 rungs, two branch leaves, the singleton's 2 rungs.
+        assert_eq!(out.stats.snapshot.published, 6);
+        let keyed = KeyedBatch::new(&batch, &opts);
+        for i in [0, 2, 3, 5, 7, 8] {
+            for key in keyed.chain(i).iter().skip(usize::from(i == 5 || i == 7)) {
+                assert!(store.join(format!("{key}.snap")).is_file(), "#{i} {key}");
             }
         }
         let _ = std::fs::remove_dir_all(&dir);

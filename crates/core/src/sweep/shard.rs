@@ -50,10 +50,9 @@ use bl_simcore::shard::{partition, FromWorker, LeaseBoard, RangeId, ToWorker, Wo
 use serde_json::Value;
 
 use super::{
-    batch_key, cache_key_with, collect_entries, collect_snapstats, effective_scenario,
-    execute_indices, snap_store_for, snapstats_record, ExecEnv, JournalEntry, QuarantineRecord,
-    ScenarioStats, ShardStats, SnapshotStats, SweepOptions, SweepOutcome, SweepStats, WorkerStats,
-    PER_SCENARIO_CAP,
+    collect_entries, collect_snapstats, execute_indices, snap_store_for, snapstats_record, ExecEnv,
+    JournalEntry, KeyedBatch, QuarantineRecord, ScenarioStats, ShardStats, SnapshotStats,
+    SweepOptions, SweepOutcome, SweepStats, WorkerStats, PER_SCENARIO_CAP,
 };
 use crate::result::RunResult;
 use crate::scenario::Scenario;
@@ -223,15 +222,8 @@ fn run_worker(spec: &WorkerSpec) -> Result<(), String> {
         .map_err(|e| format!("reading batch file {:?}: {e}", spec.batch_file))?;
     let scenarios: Vec<Scenario> =
         serde_json::from_str(&text).map_err(|e| format!("parsing batch file: {e:?}"))?;
-    let effective: Vec<Scenario> = scenarios
-        .iter()
-        .map(|sc| effective_scenario(sc, &spec.opts))
-        .collect();
-    let keys: Vec<String> = effective
-        .iter()
-        .map(|sc| cache_key_with(sc, &spec.opts))
-        .collect();
-    let bkey = batch_key(&keys);
+    let batch = KeyedBatch::new(&scenarios, &spec.opts);
+    let bkey = batch.batch_key();
 
     // Fleet-wide resume knowledge: whatever the coordinator merged into
     // the batch journal before spawning us is replayed, not re-simulated.
@@ -304,8 +296,7 @@ fn run_worker(spec: &WorkerSpec) -> Result<(), String> {
                 }
                 execute_range(
                     spec,
-                    &effective,
-                    &keys,
+                    &batch,
                     &journal,
                     &resumed,
                     &cancel,
@@ -345,8 +336,7 @@ fn run_worker(spec: &WorkerSpec) -> Result<(), String> {
 #[allow(clippy::too_many_arguments)]
 fn execute_range(
     spec: &WorkerSpec,
-    effective: &[Scenario],
-    keys: &[String],
+    batch: &KeyedBatch,
     journal: &Mutex<Journal>,
     resumed: &HashMap<String, RunResult>,
     cancel: &CancelToken,
@@ -357,7 +347,7 @@ fn execute_range(
     end: usize,
     epoch: u64,
 ) {
-    let end = end.min(effective.len());
+    let end = end.min(batch.scenarios.len());
     let start = start.min(end);
     let stop = AtomicBool::new(false);
     std::thread::scope(|s| {
@@ -395,7 +385,7 @@ fn execute_range(
         let indices: Vec<usize> = (start..end).collect();
         // Fork groups form within the leased range; results land in the
         // worker's journal, so the return value is irrelevant here.
-        let _ = execute_indices(&indices, effective, keys, &env, jobs);
+        let _ = execute_indices(&indices, batch, &env, jobs);
         stop.store(true, Ordering::Relaxed);
     });
 }
@@ -598,22 +588,15 @@ fn fail_all(scenarios: &[Scenario], error: &SimError) -> SweepOutcome {
 /// Runs the batch across a fleet of worker processes. Never panics on
 /// fleet trouble: setup failures, dead workers and poisoned ranges all
 /// surface as typed per-scenario errors in the outcome.
-pub(crate) fn run_sharded(
-    scenarios: &[Scenario],
-    keys: &[String],
-    opts: &SweepOptions,
-) -> SweepOutcome {
-    match run_sharded_inner(scenarios, keys, opts) {
+pub(crate) fn run_sharded(batch: &KeyedBatch, opts: &SweepOptions) -> SweepOutcome {
+    match run_sharded_inner(batch, opts) {
         Ok(outcome) => outcome,
-        Err(e) => fail_all(scenarios, &e),
+        Err(e) => fail_all(&batch.scenarios, &e),
     }
 }
 
-fn run_sharded_inner(
-    scenarios: &[Scenario],
-    keys: &[String],
-    opts: &SweepOptions,
-) -> Result<SweepOutcome, SimError> {
+fn run_sharded_inner(batch: &KeyedBatch, opts: &SweepOptions) -> Result<SweepOutcome, SimError> {
+    let (scenarios, keys) = (&batch.scenarios, &batch.keys);
     let n = scenarios.len();
     let dir = opts.journal_dir.clone().ok_or_else(|| {
         SimError::config("sharded sweeps require a journal directory (SweepOptions::journaled)")
@@ -625,14 +608,14 @@ fn run_sharded_inner(
     })?;
     std::fs::create_dir_all(&dir)
         .map_err(|e| SimError::config(format!("creating journal directory {dir:?}: {e}")))?;
-    let bkey = batch_key(keys);
+    let bkey = batch.batch_key();
     let io_err = |what: &str, e: std::io::Error| SimError::config(format!("{what}: {e}"));
 
     // Startup hygiene: other batches' orphaned worker journals, lease
     // snapshots, batch files and temp files — debris of killed
     // coordinators — are removed once old enough. This batch's own files
     // and every merged `<key>.jsonl` (fleet resume state) survive.
-    journal::clean_stale_artifacts(&dir, &bkey, durable::STALE_AFTER);
+    journal::clean_stale_artifacts(&dir, bkey, durable::STALE_AFTER);
 
     // Fleet-wide resume: absorb the merged journal AND every per-worker
     // journal a dead fleet left behind, then rewrite the merged journal
@@ -642,12 +625,12 @@ fn run_sharded_inner(
     let prior: HashMap<String, JournalEntry> = if opts.resume {
         // Snapstats of an earlier, dead fleet describe *its* invocation;
         // only the keyed result entries carry over.
-        merge_journals(&dir, &bkey, keys)
+        merge_journals(&dir, bkey, keys)
             .map_err(SimError::config)?
             .0
     } else {
         let _ = Journal::open(&merged_path, false).map_err(|e| io_err("clearing journal", e))?;
-        for p in worker_journal_paths(&dir, &bkey) {
+        for p in worker_journal_paths(&dir, bkey) {
             let _ = std::fs::remove_file(p);
         }
         HashMap::new()
@@ -840,20 +823,20 @@ fn run_sharded_inner(
     // Merge every journal into the batch journal and assemble the
     // outcome from disk state alone — exactly what a later `--resume`
     // would see.
-    let (entries, fleet_snapstats) = match merge_journals(&dir, &bkey, keys) {
+    let (entries, fleet_snapstats) = match merge_journals(&dir, bkey, keys) {
         Ok(merged) => merged,
         Err(_) => {
             // The rewrite failed; per-worker journals were kept. Assemble
             // from an in-memory merge so the caller still gets results.
             let mut lines = Journal::load(&merged_path).unwrap_or_default();
-            for p in worker_journal_paths(&dir, &bkey) {
+            for p in worker_journal_paths(&dir, bkey) {
                 lines.extend(Journal::load(&p).unwrap_or_default());
             }
             (collect_entries(&lines, true), collect_snapstats(&lines))
         }
     };
     let _ = std::fs::remove_file(&batch_file);
-    write_lease_snapshot(&dir, &bkey, &board);
+    write_lease_snapshot(&dir, bkey, &board);
 
     let workers_lost = workers.iter().filter(|p| p.lost).count();
     let fleet_detail = format!("{workers_lost} of {} workers lost", opts.workers);

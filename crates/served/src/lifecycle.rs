@@ -13,11 +13,12 @@
 //!                             ↘ quarantined
 //! ```
 //!
-//! `admitted` means the run passed admission control and the daemon has
-//! synced its admission record, batch included: the one promise it
-//! makes. `leased` means an executor owns it, `running` means it has
-//! settled its first scenario, and the two terminal states record how it
-//! ended. Terminal runs may be resubmitted: the engine's journal replay
+//! `admitted` means the run passed admission control; its client hears
+//! so once the daemon has synced its admission record, batch included:
+//! the one promise it makes. `leased` means an executor owns it (the
+//! daemon may start the executor before the admission syncs, and
+//! journals `leased` after it), `running` means it has settled its first
+//! scenario, and the two terminal states record how it ended. Terminal runs may be resubmitted: the engine's journal replay
 //! makes the re-run cheap and byte-identical.
 
 use crate::proto::Reject;
@@ -26,8 +27,8 @@ use std::collections::{HashMap, VecDeque};
 /// One run's lifecycle state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RunState {
-    /// Admitted and queued; its admission record, carrying the batch, is
-    /// synced.
+    /// Admitted and queued. Its admission record, carrying the batch, is
+    /// synced before the client is told.
     Admitted,
     /// Handed to an executor, no progress observed yet.
     Leased,

@@ -13,6 +13,24 @@
 //! every completed write; a restart plus a client resubmission recovers
 //! byte-identically either way.
 //!
+//! A submission is admitted in four steps, so that its simulation runs
+//! while its promise reaches the disk:
+//!
+//! 1. **key**: the batch is keyed once ([`sweep::KeyedBatch`]); its batch
+//!    key is the run id, and the same value later runs;
+//! 2. **lease and start**: admission control queues the run, and when a
+//!    slot is free the scheduler leases it and starts its executor;
+//! 3. **append and sync** the admission record, then append the derived
+//!    `leased` record;
+//! 4. **`admitted`** is queued to the client.
+//!
+//! An executor may finish before step 3 does (a verbatim repeat replays
+//! its journal at once), but it reports through the command channel,
+//! which the scheduler reads only after step 4, so no checkpoint, result
+//! or `done` reaches a client before its `admitted`. A crash between
+//! steps 2 and 3 loses only derived state — journal records and
+//! snapshots of a run no client was told was admitted.
+//!
 //! Threading model (std only, no async runtime):
 //!
 //! * an **accept loop** thread blocks in `accept`, so a connection is
@@ -34,7 +52,8 @@
 
 use crate::lifecycle::{Admission, BoardLimits, RunBoard, RunState};
 use crate::proto::{self, Reject, Request, SubmitOptions};
-use biglittle::{sweep, Scenario, SweepOptions};
+use biglittle::sweep::{self, KeyedBatch};
+use biglittle::{Scenario, SweepOptions};
 use bl_simcore::budget::CancelToken;
 use bl_simcore::durable::{self, Class, STALE_AFTER};
 use bl_simcore::journal::{self, Journal};
@@ -43,7 +62,7 @@ use serde_json::Value;
 use std::collections::HashMap;
 use std::io::{self, Read as _, Write as _};
 use std::os::unix::net::{UnixListener, UnixStream};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{channel, RecvTimeoutError, Sender};
 use std::thread;
@@ -200,12 +219,67 @@ enum Cmd {
 /// board entry.
 struct RunMeta {
     cancel: CancelToken,
-    /// Scenarios held for the not-yet-leased phase (dropped at lease).
-    scenarios: Option<Vec<Scenario>>,
+    /// The keyed batch, held until the run is leased and handed to its
+    /// executor.
+    batch: Option<KeyedBatch>,
     options: SubmitOptions,
-    /// Journal lines already folded into progress, to parse only the tail.
-    seen_lines: usize,
+    /// How far the run's sweep journal has been read.
+    progress: Progress,
 }
+
+impl RunMeta {
+    fn new(batch: KeyedBatch, options: SubmitOptions) -> RunMeta {
+        RunMeta {
+            cancel: CancelToken::new(),
+            batch: Some(batch),
+            options,
+            progress: Progress::default(),
+        }
+    }
+}
+
+/// How far the scheduler has read one run's sweep journal: the offset
+/// just past the last complete line read, and the settled scenarios
+/// (`done` and `err` records) before it.
+#[derive(Debug, Default)]
+struct Progress {
+    offset: u64,
+    settled: usize,
+}
+
+impl Progress {
+    /// Reads what was appended to the journal at `path` since the last
+    /// call, starting over when the file got shorter. Returns the
+    /// simulated events of the new `done` records and the bytes read.
+    fn advance(&mut self, path: &Path) -> io::Result<(u64, u64)> {
+        let tail = Journal::load_tail(path, self.offset)?;
+        if tail.from < self.offset {
+            self.settled = 0;
+        }
+        let mut events = 0;
+        for line in &tail.records {
+            let done = line.starts_with("{\"ev\":\"done\"");
+            if done || line.starts_with("{\"ev\":\"err\"") {
+                self.settled += 1;
+            }
+            if done {
+                events += serde_json::from_str::<Value>(line)
+                    .ok()
+                    .and_then(|v| v.get("result")?.get("events_processed")?.as_u64())
+                    .unwrap_or(0);
+            }
+        }
+        self.offset = tail.next;
+        Ok((events, tail.read))
+    }
+}
+
+/// Test hook: called on the scheduler thread with each run it leases,
+/// once the run's executor has been started.
+#[cfg(test)]
+type LeaseProbe = Box<dyn Fn(&str) + Send>;
+#[cfg(test)]
+static ON_LEASE: std::sync::Mutex<Option<LeaseProbe>> = std::sync::Mutex::new(None);
 
 /// Runs the daemon until drain completes. Returns the process exit code.
 ///
@@ -309,7 +383,7 @@ fn scheduler_loop(cfg: &ServeConfig, tx: Sender<Cmd>, rx: std::sync::mpsc::Recei
             return 1;
         }
     };
-    adopt_runs(&mut service, &mut board, &mut meta, start);
+    adopt_runs(cfg, &mut service, &mut board, &mut meta, start);
 
     // Throughput signal: cumulative simulated events observed (journal
     // done records + finished runs), sampled into a short window.
@@ -321,7 +395,9 @@ fn scheduler_loop(cfg: &ServeConfig, tx: Sender<Cmd>, rx: std::sync::mpsc::Recei
     let tick = Duration::from_millis(cfg.heartbeat.as_millis().min(100) as u64);
     loop {
         // Lease as much as capacity allows before sleeping.
-        start_ready_runs(cfg, &mut board, &mut meta, &mut service, &tx, start);
+        for run in start_ready_runs(cfg, &mut board, &mut meta, &tx, start) {
+            journal_leased(&mut service, &board, &run);
+        }
 
         let cmd = rx.recv_timeout(tick);
         if SIGTERM.load(Ordering::SeqCst) && !draining {
@@ -353,6 +429,7 @@ fn scheduler_loop(cfg: &ServeConfig, tx: Sender<Cmd>, rx: std::sync::mpsc::Recei
                     &mut subs,
                     &writers,
                     &mut service,
+                    &tx,
                     conn,
                     client,
                     scenarios,
@@ -498,6 +575,7 @@ fn fold(records: &[String]) -> Vec<Folded> {
 /// restarted daemon adopts in-flight work, and the engine's journal
 /// replay keeps adopted re-runs byte-identical and cheap.
 fn adopt_runs(
+    cfg: &ServeConfig,
     service: &mut Journal,
     board: &mut RunBoard,
     meta: &mut HashMap<String, RunMeta>,
@@ -518,15 +596,8 @@ fn adopt_runs(
         match f.batch.as_ref().and_then(parse_batch) {
             Some((scenarios, options)) => {
                 board.adopt(&f.run, &f.client, scenarios.len(), now_ms(start));
-                meta.insert(
-                    f.run.clone(),
-                    RunMeta {
-                        cancel: CancelToken::new(),
-                        scenarios: Some(scenarios),
-                        options,
-                        seen_lines: 0,
-                    },
-                );
+                let batch = KeyedBatch::new(&scenarios, &cfg.run_options(&options));
+                meta.insert(f.run.clone(), RunMeta::new(batch, options));
                 adopted += 1;
                 eprintln!(
                     "serve: adopted run {} ({} scenarios, was {})",
@@ -643,6 +714,8 @@ fn parse_batch(v: &Value) -> Option<(Vec<Scenario>, SubmitOptions)> {
     Some((scenarios, options))
 }
 
+/// Admits one submission in the order the module doc sets out: key,
+/// lease and start, append and sync, then `admitted`.
 #[allow(clippy::too_many_arguments)]
 fn handle_submit(
     cfg: &ServeConfig,
@@ -651,14 +724,15 @@ fn handle_submit(
     subs: &mut HashMap<String, Vec<u64>>,
     writers: &HashMap<u64, Sender<Out>>,
     service: &mut Journal,
+    tx: &Sender<Cmd>,
     conn: u64,
     client: String,
     scenarios: Vec<Scenario>,
     options: SubmitOptions,
     start: Instant,
 ) {
-    let opts = cfg.run_options(&options);
-    let run = sweep::batch_key_for(&scenarios, &opts);
+    let batch = KeyedBatch::new(&scenarios, &cfg.run_options(&options));
+    let run = batch.batch_key().to_string();
     let n = scenarios.len() as u64;
     match board.submit(&run, &client, scenarios.len(), now_ms(start)) {
         Err(reject) => {
@@ -673,6 +747,10 @@ fn handle_submit(
             send_to(writers, conn, &proto::admitted_line(&run, 0));
         }
         Ok(Admission::Queued { position }) => {
+            meta.insert(run.clone(), RunMeta::new(batch, options.clone()));
+            // Start first: the executor simulates while the promise below
+            // syncs. What it writes before the sync returns is derived.
+            let leased = start_ready_runs(cfg, board, meta, tx, start);
             // The promise: the admission record, carrying the batch, is
             // synced before the client hears `admitted`, so a restart
             // after any crash — a power cut included — adopts the run.
@@ -681,50 +759,56 @@ fn handle_submit(
             if let Err(e) = service.append_all(Class::Promise, &[record]) {
                 eprintln!("serve: cannot persist the admission of run {run}: {e}");
             }
-            meta.insert(
-                run.clone(),
-                RunMeta {
-                    cancel: CancelToken::new(),
-                    scenarios: Some(scenarios),
-                    options,
-                    seen_lines: 0,
-                },
-            );
+            for leased in leased {
+                journal_leased(service, board, &leased);
+            }
             subs.entry(run.clone()).or_default().push(conn);
             send_to(writers, conn, &proto::admitted_line(&run, position));
         }
     }
 }
 
-/// Leases queued runs onto executor threads while capacity allows.
+/// Leases queued runs onto executor threads while capacity allows, and
+/// returns the runs it started; the caller journals their `leased`
+/// records ([`journal_leased`]) once their admissions are written.
 fn start_ready_runs(
     cfg: &ServeConfig,
     board: &mut RunBoard,
     meta: &mut HashMap<String, RunMeta>,
-    service: &mut Journal,
     tx: &Sender<Cmd>,
     start: Instant,
-) {
+) -> Vec<String> {
+    let mut started = Vec::new();
     while let Some(run) = board.start_next(now_ms(start)) {
-        let Some(m) = meta.get_mut(&run) else {
+        let Some(batch) = meta.get_mut(&run).and_then(|m| m.batch.take()) else {
             board.quarantine(&run);
             continue;
         };
-        let entry = board.get(&run).expect("leased run is tracked");
-        journal_transition(
-            service,
-            &run,
-            RunState::Leased.as_str(),
-            &entry.client,
-            entry.total as u64,
-        );
-        let scenarios = m.scenarios.take().unwrap_or_default();
+        let m = &meta[&run];
         let opts = cfg.run_options(&m.options);
         let cancel = m.cancel.clone();
         let tx = tx.clone();
         let run_name = run.clone();
-        thread::spawn(move || executor(run_name, scenarios, opts, cancel, tx));
+        thread::spawn(move || executor(run_name, batch, opts, cancel, tx));
+        #[cfg(test)]
+        if let Some(probe) = ON_LEASE.lock().expect("lease probe poisoned").as_ref() {
+            probe(&run);
+        }
+        started.push(run);
     }
+    started
+}
+
+/// Appends a leased run's derived `leased` record.
+fn journal_leased(service: &mut Journal, board: &RunBoard, run: &str) {
+    let entry = board.get(run).expect("leased run is tracked");
+    journal_transition(
+        service,
+        run,
+        RunState::Leased.as_str(),
+        &entry.client,
+        entry.total as u64,
+    );
 }
 
 /// One run's executor. Reports back whatever happened; a panic would be
@@ -732,7 +816,7 @@ fn start_ready_runs(
 /// daemon is already gone.
 fn executor(
     run: String,
-    scenarios: Vec<Scenario>,
+    batch: KeyedBatch,
     opts: SweepOptions,
     cancel: CancelToken,
     tx: Sender<Cmd>,
@@ -754,7 +838,7 @@ fn executor(
         return;
     }
     let t0 = Instant::now();
-    let out = sweep::run_cancelable(&scenarios, &opts, &cancel);
+    let out = sweep::run_cancelable(&batch, &opts, &cancel);
     let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
     let results: Vec<Result<Value, String>> = out
         .results
@@ -863,9 +947,10 @@ fn finish_run(
 
 /// Folds fresh sweep-journal lines into progress counts, checkpoint
 /// events and the throughput signal; a leased run turns Running at its
-/// first settled scenario. Reading while the engine appends needs no
-/// lock: a half-written last record fails its frame and is picked up by a
-/// later poll.
+/// first settled scenario. Each poll reads only what was appended since
+/// the last ([`Progress::advance`]). Reading while the engine appends
+/// needs no lock: a half-written last record is not a complete line yet
+/// and is read again by a later poll.
 #[allow(clippy::too_many_arguments)]
 fn poll_progress(
     cfg: &ServeConfig,
@@ -887,32 +972,14 @@ fn poll_progress(
         }
         let was_leased = entry.state == RunState::Leased;
         let (client, total) = (entry.client.clone(), entry.total as u64);
-        let Ok(lines) = Journal::load(&cfg.sweep_journal_path(&run)) else {
-            continue;
-        };
         let Some(m) = meta.get_mut(&run) else {
             continue;
         };
-        if lines.len() > m.seen_lines {
-            for line in &lines[m.seen_lines..] {
-                if line.starts_with("{\"ev\":\"done\"") {
-                    if let Ok(v) = serde_json::from_str::<Value>(line) {
-                        if let Some(ev) = v
-                            .get("result")
-                            .and_then(|r| r.get("events_processed"))
-                            .and_then(Value::as_u64)
-                        {
-                            *observed_events += ev;
-                        }
-                    }
-                }
-            }
-            m.seen_lines = lines.len();
-        }
-        let done = lines
-            .iter()
-            .filter(|l| l.starts_with("{\"ev\":\"done\"") || l.starts_with("{\"ev\":\"err\""))
-            .count();
+        let Ok((events, _)) = m.progress.advance(&cfg.sweep_journal_path(&run)) else {
+            continue;
+        };
+        *observed_events += events;
+        let done = m.progress.settled;
         if board.progress(&run, done, now_ms(start)) {
             if was_leased {
                 journal_transition(service, &run, RunState::Running.as_str(), &client, total);
@@ -1169,7 +1236,8 @@ mod tests {
     use bl_platform::ids::CpuId;
     use bl_simcore::durable::{Image, PowerCut};
     use bl_simcore::time::SimDuration;
-    use std::path::Path;
+    use std::io::BufRead as _;
+    use std::sync::{Arc, Mutex};
 
     fn temp_root(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("bl-serve-test-{name}-{}", std::process::id()));
@@ -1296,7 +1364,8 @@ mod tests {
                 ..BoardLimits::default()
             });
             let mut meta = HashMap::new();
-            adopt_runs(&mut service, &mut board, &mut meta, Instant::now());
+            let cfg = ServeConfig::default();
+            adopt_runs(&cfg, &mut service, &mut board, &mut meta, Instant::now());
             // Only the first adoption finds r1 open; the second reads the
             // quarantine the first one compacted into the journal.
             assert_eq!(
@@ -1307,7 +1376,8 @@ mod tests {
             let mut adopted: Vec<&String> = meta.keys().collect();
             adopted.sort();
             assert_eq!(adopted, ["r2", "r4"], "pass {pass}");
-            let adopted = meta["r2"].scenarios.as_deref().expect("held until leased");
+            let adopted = meta["r2"].batch.as_ref().expect("held until leased");
+            let adopted = adopted.scenarios();
             assert_eq!(
                 serde_json::to_string(&batch_value(adopted, &meta["r2"].options)).unwrap(),
                 serde_json::to_string(&batch_value(&scenarios, &SubmitOptions::default())).unwrap()
@@ -1328,6 +1398,156 @@ mod tests {
             let batches: Vec<bool> = fold(&records).iter().map(|f| f.batch.is_some()).collect();
             assert_eq!(batches, [false, true, false, true], "pass {pass}");
         }
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn progress_reads_only_what_was_appended() {
+        let root = temp_root("progress");
+        let path = root.join("run.jsonl");
+        let record = |i: u64| {
+            if i % 7 == 6 {
+                format!(r#"{{"ev":"err","key":"k{i}"}}"#)
+            } else {
+                format!(r#"{{"ev":"done","key":"k{i}","result":{{"events_processed":{i}}}}}"#)
+            }
+        };
+        let mut journal = Journal::open(&path, false).unwrap();
+        let mut progress = Progress::default();
+        let (mut appended, mut polls, mut read, mut events, mut partial) = (0u64, 0u64, 0, 0, 0);
+        let mut poll = |progress: &mut Progress, settled: u64| {
+            let (ev, bytes) = progress.advance(&path).unwrap();
+            polls += 1;
+            read += bytes;
+            events += ev;
+            assert_eq!(progress.settled as u64, settled);
+        };
+        while appended < 1_000 {
+            let n = (1 + appended % 5).min(1_000 - appended);
+            let records: Vec<String> = (appended..appended + n).map(record).collect();
+            journal.append_all(Class::Derived, &records).unwrap();
+            appended += n;
+            poll(&mut progress, appended);
+            // Every other step the poll catches a record half-written.
+            if appended % 2 == 0 && appended < 1_000 {
+                let frame = durable::frame(&record(appended));
+                let (head, tail) = frame.as_bytes().split_at(frame.len() / 2);
+                let mut raw = std::fs::OpenOptions::new()
+                    .append(true)
+                    .open(&path)
+                    .unwrap();
+                raw.write_all(head).unwrap();
+                partial = partial.max(head.len() as u64);
+                poll(&mut progress, appended);
+                raw.write_all(tail).unwrap();
+                appended += 1;
+            }
+        }
+        poll(&mut progress, 1_000);
+        let size = std::fs::metadata(&path).unwrap().len();
+        assert!(
+            read <= size + polls * partial,
+            "{read} bytes read over {polls} polls of a {size}-byte journal"
+        );
+        let done_events: u64 = (0..1_000).filter(|i| i % 7 != 6).sum();
+        assert_eq!(events, done_events);
+
+        // A journal that got shorter is read again from the start.
+        Journal::replace(Class::Derived, &path, vec![record(0), record(6)]).unwrap();
+        let (events, _) = progress.advance(&path).unwrap();
+        assert_eq!((progress.settled, events), (2, 0));
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn an_executor_starts_before_its_admission_syncs_and_events_stay_in_order() {
+        let root = temp_root("overlap");
+        let cfg = config(&root);
+        let cut = Arc::new(PowerCut::install(&root));
+        // The syncs made under this root by the time each run is leased.
+        let leases: Arc<Mutex<Vec<(String, u64)>>> = Arc::default();
+        *ON_LEASE.lock().unwrap() = Some({
+            let (cut, leases) = (cut.clone(), leases.clone());
+            Box::new(move |run: &str| leases.lock().unwrap().push((run.to_string(), cut.syncs())))
+        });
+        let daemon = start(&cfg);
+        // Two batches, then two verbatim repeats of each: a repeat replays
+        // its journal, so its run may finish before its admission syncs.
+        let batches = [batch("order-a", 700), batch("order-b", 800)];
+        let stream = UnixStream::connect(&cfg.socket).unwrap();
+        let mut lines = io::BufReader::new(stream.try_clone().unwrap()).lines();
+        let mut writer = stream;
+        let mut runs = Vec::new();
+        for b in batches.iter().cycle().take(6) {
+            let values: Vec<Value> = b
+                .iter()
+                .map(|sc| serde_json::to_value(sc).unwrap())
+                .collect();
+            let submit = proto::submit_line("c0", &values, &SubmitOptions::default());
+            writer.write_all(format!("{submit}\n").as_bytes()).unwrap();
+            // admitted, then checkpoints, then one result per scenario in
+            // order, then done; heartbeats may come at any point after
+            // admitted.
+            let mut seen: Vec<&str> = Vec::new();
+            let mut results = 0;
+            loop {
+                let line = lines.next().expect("the daemon answers").unwrap();
+                let event = proto::parse_event(&line).expect("a well-formed event");
+                let (kind, run) = match &event {
+                    proto::Event::Admitted { run, .. } => ("admitted", run),
+                    proto::Event::Checkpoint { run, .. } => ("checkpoint", run),
+                    proto::Event::ResultSlot { run, index, .. } => {
+                        assert_eq!(*index, results, "{line}");
+                        results += 1;
+                        ("result", run)
+                    }
+                    proto::Event::Done { run, .. } => ("done", run),
+                    proto::Event::Heartbeat { run, .. } => ("heartbeat", run),
+                    _ => panic!("unexpected event {line}"),
+                };
+                if kind == "admitted" {
+                    runs.push(run.clone());
+                }
+                assert_eq!(Some(run), runs.last(), "{line}");
+                if kind != "heartbeat" {
+                    seen.push(kind);
+                }
+                if kind == "done" {
+                    break;
+                }
+            }
+            let admitted = seen.iter().position(|k| *k == "admitted");
+            let first_result = seen
+                .iter()
+                .position(|k| *k == "result")
+                .unwrap_or(seen.len());
+            assert_eq!(admitted, Some(0), "{seen:?}");
+            assert!(
+                seen[1..first_result].iter().all(|k| *k == "checkpoint"),
+                "{seen:?}"
+            );
+            assert_eq!(
+                seen[first_result..],
+                ["result", "result", "done"],
+                "{seen:?}"
+            );
+        }
+        drop((writer, lines));
+        drain(&cfg, daemon);
+        *ON_LEASE.lock().unwrap() = None;
+
+        // Each run was leased, and its executor started, before its own
+        // admission synced: the k-th lease saw only the k admissions
+        // before it, plus the directory sync of the first.
+        let leases: Vec<u64> = leases
+            .lock()
+            .unwrap()
+            .iter()
+            .filter(|(run, _)| runs.contains(run))
+            .map(|&(_, syncs)| syncs)
+            .collect();
+        assert_eq!(leases, [0, 2, 3, 4, 5, 6]);
+        assert_eq!(cut.syncs(), 6 + 1);
         let _ = std::fs::remove_dir_all(&root);
     }
 

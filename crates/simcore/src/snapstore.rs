@@ -36,7 +36,10 @@
 //!
 //! Reads go memory-LRU → disk → miss (the caller then falls back to a cold
 //! run). The in-memory tier caches *verified* parsed entries so repeated
-//! hydrations within one process skip the read + checksum + parse.
+//! hydrations through one [`SnapStore`] handle skip the read + checksum +
+//! parse. It lives as long as its handle: the sweep engine opens one
+//! handle per sweep, so entries are shared within a sweep and read from
+//! disk again by the next one, even in the same process.
 
 use crate::durable;
 use std::fs;
