@@ -1,4 +1,5 @@
-//! Shared helpers for the `repro` binary and the Criterion benches.
+//! The experiment registry behind the `repro` binary: every paper table
+//! and figure by id, rendered as text or as JSON.
 
 #![warn(missing_docs)]
 

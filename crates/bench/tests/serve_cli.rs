@@ -1,10 +1,12 @@
 //! Cross-process tests for the serve daemon: submitting to the daemon
 //! must be byte-identical to a one-shot sweep, a SIGKILLed and restarted
 //! daemon must converge reconnecting clients on the same bytes (also
-//! with two clients overlapping), malformed input must draw typed
-//! rejections without poisoning the connection, and a second batch
-//! sharing a warm-up prefix must hydrate trunks from the daemon's
-//! persistent snapshot store.
+//! with two clients overlapping), malformed and oversized input must draw
+//! typed rejections without poisoning the connection, a slow trickle must
+//! cost only its own connection, a flood past admission capacity must
+//! draw typed backpressure while wedged runs are quarantined, and a
+//! second batch sharing a warm-up prefix must hydrate trunks from the
+//! daemon's persistent snapshot store.
 
 use std::io::{Read, Write};
 use std::os::unix::net::UnixStream;
@@ -63,6 +65,15 @@ impl Drop for Daemon {
 
 /// Spawns a daemon on `socket` with its state under `state`.
 fn spawn_daemon(socket: &Path, state: &Path, extra: &[&str]) -> Daemon {
+    Daemon(
+        daemon_cmd(socket, state, extra)
+            .spawn()
+            .expect("spawn serve daemon"),
+    )
+}
+
+/// The `repro serve` command [`spawn_daemon`] runs.
+fn daemon_cmd(socket: &Path, state: &Path, extra: &[&str]) -> Command {
     let mut cmd = repro();
     cmd.args([
         "serve",
@@ -75,13 +86,8 @@ fn spawn_daemon(socket: &Path, state: &Path, extra: &[&str]) -> Daemon {
         "--heartbeat-ms",
         "100",
     ]);
-    cmd.args(extra);
-    Daemon(
-        cmd.stdout(Stdio::null())
-            .stderr(Stdio::null())
-            .spawn()
-            .expect("spawn serve daemon"),
-    )
+    cmd.args(extra).stdout(Stdio::null()).stderr(Stdio::null());
+    cmd
 }
 
 fn wait_for_socket(socket: &Path) {
@@ -201,8 +207,8 @@ fn daemon_sigkill_restart_resubmit_is_byte_identical() {
     wait_for_socket(&socket);
 
     let out = dir.join("out.json");
-    let mut client = submit_demo(&socket, &out, 43, "chaos")
-        .stderr(Stdio::null())
+    let client = submit_demo(&socket, &out, 43, "chaos")
+        .stderr(Stdio::piped())
         .spawn()
         .expect("spawn submit");
 
@@ -223,12 +229,21 @@ fn daemon_sigkill_restart_resubmit_is_byte_identical() {
     // resubmits, and the journal replays completed scenarios.
     let daemon = spawn_daemon(&socket, &state, &[]);
     wait_for_socket(&socket);
-    let status = client.wait().expect("wait for submit client");
-    assert!(status.success(), "reconnecting submit must exit 0");
+    let output = client.wait_with_output().expect("wait for submit client");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(output.status.success(), "reconnecting submit must exit 0");
     let served = std::fs::read(&out).expect("submit report exists");
     assert_eq!(
         served, reference,
         "post-SIGKILL report differs from the one-shot reference"
+    );
+    let reconnects = stderr
+        .split(" reconnect(s)")
+        .next()
+        .and_then(|head| head.rsplit(' ').next()?.parse::<u64>().ok());
+    assert!(
+        reconnects >= Some(1),
+        "the client reconnected to the restarted daemon: {stderr}"
     );
 
     drop(daemon);
@@ -298,27 +313,33 @@ fn malformed_requests_draw_typed_rejections_and_spare_the_connection() {
     let dir = temp_dir("malformed");
     let socket = dir.join("serve.sock");
     let state = dir.join("state");
-    let daemon = spawn_daemon(&socket, &state, &[]);
+    let daemon = spawn_daemon(&socket, &state, &["--stall-timeout-ms", "600"]);
     wait_for_socket(&socket);
 
     let mut conn = LineConn {
         stream: UnixStream::connect(&socket).expect("connect"),
         buf: Vec::new(),
     };
+    // An oversized line is discarded up to its newline, unparsed.
+    let oversized = "x".repeat(2 * bl_served::proto::MAX_LINE_BYTES);
     for (line, reason) in [
         ("truncated json {\"op\":", "malformed"),
         ("{\"op\":\"submit\",\"scenarios\":[]}", "empty-batch"),
         ("{\"op\":\"submit\",\"scenarios\":[1,2]}", "malformed"),
         ("{\"op\":\"ping\",\"surprise\":true}", "malformed"),
+        ("{\"op\":\"launch-missiles\"}", "malformed"),
+        (oversized.as_str(), "too-large"),
+        ("{\"op\":\"ping\"}", "pong"),
     ] {
         conn.stream
             .write_all(format!("{line}\n").as_bytes())
             .expect("send malformed request");
-        let answer = read_line(&mut conn, Duration::from_secs(5))
-            .unwrap_or_else(|| panic!("no answer to {line:?}"));
+        let answer = read_line(&mut conn, Duration::from_secs(10))
+            .unwrap_or_else(|| panic!("no answer to {:.40?}", line));
+        let typed = reason == "pong" || answer.contains("\"rejected\"");
         assert!(
-            answer.contains("\"rejected\"") && answer.contains(reason),
-            "expected a typed {reason} rejection for {line:?}, got {answer}"
+            typed && answer.contains(reason),
+            "expected a typed {reason} answer to {line:.40?}, got {answer}"
         );
     }
 
@@ -370,7 +391,92 @@ fn malformed_requests_draw_typed_rejections_and_spare_the_connection() {
     }
     assert!(done, "the post-rejection submission must run to completion");
 
+    // A partial line going nowhere: after the stall timeout the daemon
+    // closes that connection, and only that one.
+    let mut trickle = UnixStream::connect(&socket).expect("connect");
+    trickle.write_all(b"{\"op\":").expect("send a partial line");
+    trickle
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let read = trickle.read(&mut [0u8; 64]);
+    assert_eq!(read.ok(), Some(0), "the stalled connection is closed");
+    conn.stream
+        .write_all(b"{\"op\":\"ping\"}\n")
+        .expect("send ping");
+    let answer = read_line(&mut conn, Duration::from_secs(5)).expect("pong");
+    assert!(answer.contains("\"pong\""), "got {answer}");
+
     drop(daemon);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_flood_past_capacity_draws_typed_rejections_and_wedged_runs_are_quarantined() {
+    let dir = temp_dir("flood");
+    let socket = dir.join("serve.sock");
+    let state = dir.join("state");
+    // Every run wedges, so capacity (1 active + 2 queued) fills and stays
+    // full until the wedge timeout quarantines the runs one by one.
+    let flags = [
+        "--max-queued",
+        "2",
+        "--max-active",
+        "1",
+        "--wedge-timeout-ms",
+        "800",
+    ];
+    let _daemon = Daemon(
+        daemon_cmd(&socket, &state, &flags)
+            .env(bl_served::WEDGE_ENV, "1")
+            .spawn()
+            .expect("spawn serve daemon"),
+    );
+    wait_for_socket(&socket);
+
+    let mut conns: Vec<LineConn> = (0..6u64)
+        .map(|salt| {
+            let line = bl_served::proto::submit_line(
+                "flood",
+                &demo_scenarios(42, 100 + salt, 200),
+                &bl_served::SubmitOptions::default(),
+            );
+            let mut stream = UnixStream::connect(&socket).expect("connect");
+            stream
+                .write_all(format!("{line}\n").as_bytes())
+                .expect("send flood submit");
+            LineConn {
+                stream,
+                buf: Vec::new(),
+            }
+        })
+        .collect();
+    let (mut admitted, mut rejected) = (Vec::new(), 0);
+    for (i, conn) in conns.iter_mut().enumerate() {
+        let answer = read_line(conn, Duration::from_secs(10)).expect("an answer");
+        if answer.contains("\"admitted\"") {
+            admitted.push(i);
+        } else if answer.contains("queue-full") || answer.contains("overloaded") {
+            rejected += 1;
+        }
+    }
+    assert_eq!((admitted.len(), rejected), (3, 3), "of 6 distinct batches");
+    let status = bl_served::control(&socket, "status").expect("status mid-flood");
+    assert!(status.contains("\"queued\""), "got {status}");
+
+    // The first admitted run heartbeats while wedged, then is cancelled
+    // and quarantined.
+    let conn = &mut conns[admitted[0]];
+    let (mut heartbeats, mut quarantined) = (0, false);
+    let deadline = Instant::now() + Duration::from_secs(20);
+    while let Some(line) = read_line(conn, deadline.saturating_duration_since(Instant::now())) {
+        heartbeats += usize::from(line.contains("\"heartbeat\""));
+        if line.contains("\"quarantined\"") {
+            quarantined = true;
+            break;
+        }
+    }
+    assert!(heartbeats >= 1, "the wedged run heartbeats while stuck");
+    assert!(quarantined, "the wedged run is quarantined");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -404,13 +510,14 @@ fn fresh_connections_are_accepted_without_waiting_on_a_poll() {
     );
 
     // Drain still wakes the blocked accept loop and the daemon exits 0.
-    let status = repro()
+    let drain = repro()
         .args(["submit", "--socket", socket.to_str().unwrap(), "--drain"])
-        .stdout(Stdio::null())
         .stderr(Stdio::null())
-        .status()
+        .output()
         .expect("spawn drain");
-    assert!(status.success(), "drain request must succeed");
+    assert!(drain.status.success(), "drain request must succeed");
+    let ack = String::from_utf8_lossy(&drain.stdout);
+    assert!(ack.contains("draining"), "drain is acknowledged: {ack}");
     let deadline = Instant::now() + Duration::from_secs(30);
     let exit = loop {
         if let Some(exit) = daemon.0.try_wait().expect("poll daemon") {
@@ -539,25 +646,4 @@ fn second_batch_hydrates_warm_trunks_from_the_daemon_store() {
 
     drop(daemon);
     let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn smoke_serve_exits_zero_with_all_checks_passing() {
-    let cwd = temp_dir("smoke");
-    let output = repro()
-        .args(["--smoke-serve", "smoke.json"])
-        .current_dir(&cwd)
-        .output()
-        .expect("spawn serve smoke");
-    assert!(
-        output.status.success(),
-        "serve smoke failed:\n{}",
-        String::from_utf8_lossy(&output.stderr)
-    );
-    let report = std::fs::read_to_string(cwd.join("smoke.json")).expect("smoke report exists");
-    assert!(
-        report.contains("\"checks_failed\": 0"),
-        "every smoke expectation must hold: {report}"
-    );
-    let _ = std::fs::remove_dir_all(&cwd);
 }

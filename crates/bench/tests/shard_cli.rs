@@ -1,12 +1,16 @@
 //! Cross-process tests for the sharded sweep: a worker fleet must produce
 //! byte-identical reports to a serial run, survive wedged workers through
-//! lease expiry, resume fleet-wide after the *coordinator* is SIGKILLed —
-//! also when a power cut took any of the files it never synced — and pass
-//! the chaos smoke that kills a worker mid-batch.
+//! lease expiry and a worker SIGKILLed mid-range through reclaim, and
+//! resume fleet-wide after the *coordinator* is SIGKILLed — also when a
+//! power cut took any of the files it never synced.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
 use std::time::{Duration, Instant};
+
+use biglittle::{sweep, Scenario, SweepOptions, SystemConfig};
+use bl_platform::ids::CpuId;
+use bl_simcore::time::SimDuration;
 
 fn repro() -> Command {
     Command::new(env!("CARGO_BIN_EXE_repro"))
@@ -282,27 +286,61 @@ fn fleet_resume_reproduces_the_serial_bytes_whatever_a_cut_left() {
     let _ = std::fs::remove_dir_all(&cwd);
 }
 
+/// Six microbench duty steps seeded positionally, like the demo sweep's
+/// batch but shorter.
+fn duty_steps() -> Vec<Scenario> {
+    let mut scenarios: Vec<Scenario> = (0..6u64)
+        .map(|i| {
+            Scenario::microbench(
+                format!("duty-{i}"),
+                CpuId((i % 4) as usize),
+                0.15 + 0.1 * i as f64,
+                SimDuration::from_millis(10),
+                SimDuration::from_secs(5),
+                SystemConfig::baseline(),
+            )
+        })
+        .collect();
+    sweep::seed_scenarios(&mut scenarios, 42);
+    scenarios
+}
+
+fn result_bytes(out: &sweep::SweepOutcome) -> Vec<String> {
+    out.results
+        .iter()
+        .map(|r| serde_json::to_string(r.as_ref().expect("the scenario completes")).unwrap())
+        .collect()
+}
+
 #[test]
-fn smoke_shard_exits_zero_with_bit_identity() {
-    let cwd = temp_cwd("smoke");
-    let output = repro()
-        .args(["--smoke-shard", "smoke.json"])
-        .current_dir(&cwd)
-        .output()
-        .expect("spawn shard smoke");
-    assert!(
-        output.status.success(),
-        "shard smoke failed:\n{}",
-        String::from_utf8_lossy(&output.stderr)
-    );
-    let report = std::fs::read_to_string(cwd.join("smoke.json")).expect("smoke report exists");
-    assert!(
-        report.contains("\"bit_identical\": true"),
-        "chaos fleet must merge to the serial bytes: {report}"
-    );
-    assert!(
-        report.contains("\"checks_failed\": 0"),
-        "every smoke expectation must hold: {report}"
-    );
-    let _ = std::fs::remove_dir_all(&cwd);
+fn a_worker_killed_mid_range_is_reclaimed_and_the_merge_is_byte_identical() {
+    // The coordinator runs in this test process; its workers are real
+    // `repro --worker` child processes.
+    sweep::shard::set_worker_launcher(|spec| {
+        let mut cmd = Command::new(env!("CARGO_BIN_EXE_repro"));
+        cmd.args(sweep::shard::worker_cli_args(spec));
+        cmd
+    });
+    let scenarios = duty_steps();
+    let serial = sweep::run_with(&scenarios, &SweepOptions::with_jobs(1));
+
+    // The first worker to finish a range is leased another one and
+    // SIGKILLed holding it: the active lease must be reclaimed from the
+    // dead process and re-leased to a survivor.
+    let dir = temp_cwd("worker-kill");
+    let mut opts = SweepOptions::with_jobs(1)
+        .journaled(&dir)
+        .sharded(3)
+        .with_lease(Duration::from_secs(10))
+        .with_heartbeat(Duration::from_millis(200));
+    opts.chaos_kill_one_worker = true;
+    let chaos = sweep::run_with(&scenarios, &opts);
+    assert!(!chaos.degraded, "a reclaimed range is not a retry");
+    assert_eq!(result_bytes(&chaos), result_bytes(&serial));
+    let shard = chaos.stats.shard.expect("shard stats were recorded");
+    assert_eq!(shard.workers, 3, "{shard:?}");
+    assert!(shard.reclaimed_dead >= 1, "{shard:?}");
+    assert!(shard.releases >= 1, "{shard:?}");
+    assert!(shard.workers_lost >= 1, "{shard:?}");
+    let _ = std::fs::remove_dir_all(&dir);
 }

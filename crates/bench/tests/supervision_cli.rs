@@ -1,11 +1,15 @@
 //! Cross-process supervision tests for the `repro` binary: a sweep killed
 //! with SIGKILL mid-batch must resume from its journal to a
-//! byte-identical report, and the chaos smoke must exit 0 while reporting
-//! the batch as degraded.
+//! byte-identical report, and a batch whose scenarios overrun their
+//! event budget must exit 0 while reporting itself degraded. The
+//! in-process chaos batch (panics, stalls, retries, cache self-heal,
+//! auditor) is `tests/supervision.rs`.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
 use std::time::{Duration, Instant};
+
+use serde_json::Value;
 
 fn repro() -> Command {
     Command::new(env!("CARGO_BIN_EXE_repro"))
@@ -113,27 +117,76 @@ fn sigkilled_demo_sweep_resumes_byte_identically() {
     let _ = std::fs::remove_dir_all(&kill_cwd);
 }
 
+/// Runs `repro --demo-sweep <out>` with no cache, journal or snapshot
+/// store plus `extra` flags in `cwd`, and returns the parsed report.
+fn demo_report(cwd: &Path, out: &str, extra: &[&str]) -> Value {
+    let output = repro()
+        .args(["--demo-sweep", out, "--no-cache", "--no-journal"])
+        .arg("--no-snap-store")
+        .args(extra)
+        .current_dir(cwd)
+        .output()
+        .expect("spawn demo sweep");
+    assert!(
+        output.status.success(),
+        "demo sweep {extra:?} must exit 0:\n{}",
+        String::from_utf8_lossy(&output.stderr)
+    );
+    let text = std::fs::read_to_string(cwd.join(out)).expect("demo report exists");
+    serde_json::from_str(&text).expect("demo report is JSON")
+}
+
+fn results(report: &Value) -> &[Value] {
+    report
+        .get("results")
+        .and_then(Value::as_array)
+        .expect("report has results")
+}
+
 #[test]
 fn smoke_supervision_exits_zero_and_reports_degraded() {
     let cwd = temp_cwd("smoke");
-    let output = repro()
-        .args(["--smoke-supervision", "smoke.json"])
-        .current_dir(&cwd)
-        .output()
-        .expect("spawn smoke supervision");
+    let full = demo_report(&cwd, "full.json", &["--jobs", "1"]);
+    let events: Vec<u64> = results(&full)
+        .iter()
+        .map(|r| {
+            r.get("events_processed")
+                .and_then(Value::as_u64)
+                .expect("a healthy result counts its events")
+        })
+        .collect();
+    // An event budget between the smallest and the largest scenario
+    // quarantines some of the batch and spares the rest.
+    let (min, max) = (events.iter().min().unwrap(), events.iter().max().unwrap());
+    let budget = (min + max) / 2;
+    let failing: Vec<bool> = events.iter().map(|&e| e > budget).collect();
+    let quarantined = failing.iter().filter(|&&f| f).count();
     assert!(
-        output.status.success(),
-        "smoke supervision failed:\n{}",
-        String::from_utf8_lossy(&output.stderr)
+        quarantined > 0 && quarantined < events.len(),
+        "budget {budget} must split the batch: {events:?}"
     );
-    let report = std::fs::read_to_string(cwd.join("smoke.json")).expect("smoke report exists");
-    assert!(
-        report.contains("\"degraded\": true"),
-        "the chaos batch must be reported degraded: {report}"
+
+    let budget_flag = budget.to_string();
+    let chaos = demo_report(
+        &cwd,
+        "smoke.json",
+        &["--jobs", "2", "--max-events", &budget_flag],
     );
-    assert!(
-        report.contains("\"checks_failed\": 0"),
-        "every smoke expectation must hold: {report}"
+    assert_eq!(chaos.get("degraded"), Some(&Value::Bool(true)));
+    assert_eq!(
+        chaos.get("quarantined").and_then(Value::as_u64),
+        Some(quarantined as u64)
     );
+    for (i, (got, want)) in results(&chaos).iter().zip(results(&full)).enumerate() {
+        if failing[i] {
+            let error = got.get("error").and_then(Value::as_str).unwrap_or("");
+            assert!(
+                error.contains("event budget"),
+                "scenario {i} must be quarantined by the budget: {got:?}"
+            );
+        } else {
+            assert_eq!(got, want, "healthy scenario {i} is untouched by quarantine");
+        }
+    }
     let _ = std::fs::remove_dir_all(&cwd);
 }

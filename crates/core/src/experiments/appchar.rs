@@ -305,7 +305,9 @@ mod tests {
     #[test]
     fn reproduction_rank_correlations_are_high() {
         // The headline calibration requirement: the ordering of apps by TLP
-        // and by big-core usage must track the paper.
+        // and by big-core usage must track the paper. Pinned to the values
+        // the model measures at seed 42 (125/143 and 134/143 over the 12
+        // apps), within ±0.03: a few swapped neighbours, not a reordering.
         let runs = default_runs(42, &SweepOptions::default());
         let mut paper = Vec::new();
         let mut meas = Vec::new();
@@ -323,10 +325,13 @@ mod tests {
         }
         let rho_tlp = spearman(&paper, &meas);
         let rho_big = spearman(&paper_big, &meas_big);
-        assert!(rho_tlp > 0.5, "TLP rank correlation too low: {rho_tlp:.2}");
         assert!(
-            rho_big > 0.8,
-            "big-usage rank correlation too low: {rho_big:.2}"
+            (rho_tlp - 0.874).abs() <= 0.03,
+            "TLP rank correlation moved: {rho_tlp:.3}"
+        );
+        assert!(
+            (rho_big - 0.937).abs() <= 0.03,
+            "big-usage rank correlation moved: {rho_big:.3}"
         );
     }
 }

@@ -281,6 +281,13 @@ type LeaseProbe = Box<dyn Fn(&str) + Send>;
 #[cfg(test)]
 static ON_LEASE: std::sync::Mutex<Option<LeaseProbe>> = std::sync::Mutex::new(None);
 
+/// Test hook: called on the scheduler thread each time a run finishes,
+/// with the daemon's serve directory and its simulated-event count.
+#[cfg(test)]
+type FinishProbe = Box<dyn Fn(&Path, u64) + Send>;
+#[cfg(test)]
+static ON_FINISH: std::sync::Mutex<Option<FinishProbe>> = std::sync::Mutex::new(None);
+
 /// Runs the daemon until drain completes. Returns the process exit code.
 ///
 /// Run it in a process of its own: if drain cannot wake the accept
@@ -385,8 +392,9 @@ fn scheduler_loop(cfg: &ServeConfig, tx: Sender<Cmd>, rx: std::sync::mpsc::Recei
     };
     adopt_runs(cfg, &mut service, &mut board, &mut meta, start);
 
-    // Throughput signal: cumulative simulated events observed (journal
-    // done records + finished runs), sampled into a short window.
+    // Throughput signal: cumulative simulated events, counted from the
+    // `done` records each run appends to its sweep journal, sampled into
+    // a short window.
     let mut observed_events: u64 = 0;
     let mut rate_window: std::collections::VecDeque<(Instant, u64)> = Default::default();
     let mut last_heartbeat = Instant::now();
@@ -453,6 +461,7 @@ fn scheduler_loop(cfg: &ServeConfig, tx: Sender<Cmd>, rx: std::sync::mpsc::Recei
             }
             Ok(Cmd::Finished(f)) => {
                 finish_run(
+                    cfg,
                     &mut board,
                     &mut meta,
                     &mut subs,
@@ -780,11 +789,17 @@ fn start_ready_runs(
 ) -> Vec<String> {
     let mut started = Vec::new();
     while let Some(run) = board.start_next(now_ms(start)) {
-        let Some(batch) = meta.get_mut(&run).and_then(|m| m.batch.take()) else {
+        let Some((m, batch)) = meta
+            .get_mut(&run)
+            .and_then(|m| m.batch.take().map(|batch| (m, batch)))
+        else {
             board.quarantine(&run);
             continue;
         };
-        let m = &meta[&run];
+        // Records the journal already holds, a verbatim repeat's or an
+        // adopted run's, settle scenarios but were simulated before this
+        // lease: the throughput signal counts only what the lease appends.
+        let _ = m.progress.advance(&cfg.sweep_journal_path(&run));
         let opts = cfg.run_options(&m.options);
         let cancel = m.cancel.clone();
         let tx = tx.clone();
@@ -883,7 +898,11 @@ fn executor(
     })));
 }
 
+/// Settles a run its executor reported back; a last poll of its journal
+/// counts the events appended since the previous poll.
+#[allow(clippy::too_many_arguments)]
 fn finish_run(
+    cfg: &ServeConfig,
     board: &mut RunBoard,
     meta: &mut HashMap<String, RunMeta>,
     subs: &mut HashMap<String, Vec<u64>>,
@@ -918,9 +937,6 @@ fn finish_run(
     } else {
         board.complete(&f.run);
         journal_transition(service, &f.run, RunState::Complete.as_str(), &client, total);
-        if let Some(ev) = f.stats.get("events").and_then(Value::as_u64) {
-            *observed_events += ev;
-        }
         for (i, outcome) in f.results.iter().enumerate() {
             broadcast(
                 subs,
@@ -941,8 +957,16 @@ fn finish_run(
             f.results.len()
         );
     }
-    meta.remove(&f.run);
+    if let Some(mut m) = meta.remove(&f.run) {
+        if let Ok((events, _)) = m.progress.advance(&cfg.sweep_journal_path(&f.run)) {
+            *observed_events += events;
+        }
+    }
     subs.remove(&f.run);
+    #[cfg(test)]
+    if let Some(probe) = ON_FINISH.lock().expect("finish probe poisoned").as_ref() {
+        probe(&cfg.serve_dir, *observed_events);
+    }
 }
 
 /// Folds fresh sweep-journal lines into progress counts, checkpoint
@@ -1599,6 +1623,48 @@ mod tests {
         );
         drop(cut);
         let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn the_throughput_signal_counts_each_simulated_event_once() {
+        let counts: Arc<Mutex<Vec<(PathBuf, u64)>>> = Arc::default();
+        *ON_FINISH.lock().unwrap() = Some({
+            let counts = counts.clone();
+            Box::new(move |dir: &Path, n| counts.lock().unwrap().push((dir.to_path_buf(), n)))
+        });
+        // Polled every 1 ms, a run's records are read before its Finished
+        // arrives; every 100 ms, mostly after.
+        for heartbeat_ms in [1, 10_000] {
+            let root = temp_root(&format!("throughput-{heartbeat_ms}"));
+            let cfg = ServeConfig {
+                heartbeat: Duration::from_millis(heartbeat_ms),
+                ..config(&root)
+            };
+            let daemon = start(&cfg);
+            let batches = [batch("a", 100), batch("b", 200), batch("c", 300)];
+            let mut simulated = 0;
+            for b in &batches {
+                for result in served(&cfg, "c0", b).1 {
+                    let v: Value = serde_json::from_str(&result).unwrap();
+                    simulated += v.get("events_processed").and_then(Value::as_u64).unwrap();
+                }
+            }
+            // A verbatim repeat replays its journal and simulates nothing.
+            served(&cfg, "c1", &batches[0]);
+            drain(&cfg, daemon);
+            let counted: Vec<u64> = counts
+                .lock()
+                .unwrap()
+                .iter()
+                .filter(|(dir, _)| *dir == cfg.serve_dir)
+                .map(|&(_, n)| n)
+                .collect();
+            assert_eq!(simulated, 765, "four runs of 255 events, one a repeat");
+            assert_eq!(counted.len(), 4, "heartbeat {heartbeat_ms} ms");
+            assert_eq!(counted[3], simulated, "heartbeat {heartbeat_ms} ms");
+            let _ = std::fs::remove_dir_all(&root);
+        }
+        *ON_FINISH.lock().unwrap() = None;
     }
 
     #[test]

@@ -9,7 +9,8 @@ use bl_governor::GovernorConfig;
 use bl_platform::ids::CpuId;
 use bl_simcore::fault::FaultPlan;
 use bl_simcore::time::{SimDuration, SimTime};
-use bl_workloads::apps::app_by_name;
+use bl_workloads::apps::{app_by_name, AppKind, AppModel, ScriptedSpec};
+use bl_workloads::PerfMetric;
 use proptest::prelude::*;
 
 /// Runs the same scenario with skip-ahead on and off and returns both
@@ -21,6 +22,38 @@ fn run_pair(
     let mut on = Simulation::try_new(cfg.clone().with_skip_ahead(true)).unwrap();
     let mut off = Simulation::try_new(cfg.clone().with_skip_ahead(false)).unwrap();
     (drive(&mut on), drive(&mut off))
+}
+
+/// The paper's §IV usage pattern distilled over 5 s: the user thinks for
+/// seconds between actions, each action is a short UI burst plus two
+/// fan-out jobs, and no timer stays armed through the gaps.
+fn interactive_idle_heavy() -> AppModel {
+    AppModel {
+        name: "interactive-idle-heavy".into(),
+        metric: PerfMetric::Latency,
+        run_for: SimDuration::from_secs(5),
+        kind: AppKind::Scripted(ScriptedSpec {
+            // ~2.1 s mean think + ~0.3 s busy work per action.
+            n_actions: 3,
+            think_ms: (1_600.0, 2_600.0),
+            burst_ms: 40.0,
+            burst_sigma: 0.3,
+            jobs_per_action: 2,
+            job_ms: 60.0,
+            job_sigma: 0.3,
+            n_workers: 2,
+            background: vec![],
+            continuous: vec![],
+        }),
+    }
+}
+
+/// A result's serialized bytes with `events_processed` zeroed: skip-ahead
+/// elides idle ticks, so that count is the one field the two modes may
+/// differ in (DESIGN.md §3.5); every other byte must match.
+fn observable_bytes(mut r: RunResult) -> String {
+    r.events_processed = 0;
+    serde_json::to_string(&r).unwrap()
 }
 
 #[test]
@@ -39,22 +72,39 @@ fn pure_idle_run_is_bit_identical_under_every_governor() {
             sim.try_run_until(SimTime::from_secs(2)).unwrap();
             sim.finish()
         });
-        assert_eq!(on, off, "governor {g:?}");
         assert_eq!(on.tlp.idle_pct, 100.0);
+        assert_eq!(
+            observable_bytes(on),
+            observable_bytes(off),
+            "governor {g:?}"
+        );
     }
 }
 
 #[test]
 fn idle_heavy_app_is_bit_identical() {
-    let app = app_by_name("Browser").unwrap();
-    let cfg = SystemConfig::baseline();
-    let (on, off) = run_pair(&cfg, |sim| {
-        sim.spawn_app(&app);
-        sim.try_run_until(SimTime::from_secs(5)).unwrap();
-        sim.finish()
-    });
-    assert_eq!(on, off);
-    assert!(on.tlp.idle_pct > 0.0, "Browser should leave idle gaps");
+    // The timer-fragmented Browser, a user-paced app whose gaps no timer
+    // bounds, and a TLP-heavy game that leaves the skip path no room.
+    for (app, secs, idle_gaps) in [
+        (app_by_name("Browser").unwrap(), 5, true),
+        (interactive_idle_heavy(), 5, true),
+        (app_by_name("Angry Bird").unwrap(), 1, false),
+    ] {
+        let (on, off) = run_pair(&SystemConfig::baseline(), |sim| {
+            sim.spawn_app(&app);
+            sim.try_run_until(SimTime::from_secs(secs)).unwrap();
+            sim.finish()
+        });
+        if idle_gaps {
+            assert!(on.tlp.idle_pct > 0.0, "{} should leave idle gaps", app.name);
+            assert!(
+                on.events_processed < off.events_processed,
+                "{}: the skip path elided no event",
+                app.name
+            );
+        }
+        assert_eq!(observable_bytes(on), observable_bytes(off), "{}", app.name);
+    }
 }
 
 #[test]
@@ -80,7 +130,7 @@ fn microbench_duty_cycle_is_bit_identical() {
             sim.try_run_until(SimTime::from_secs(2)).unwrap();
             sim.finish()
         });
-        assert_eq!(on, off, "duty {duty}");
+        assert_eq!(observable_bytes(on), observable_bytes(off), "duty {duty}");
     }
 }
 

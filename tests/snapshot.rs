@@ -46,7 +46,7 @@ fn grid_point(
 
 /// The late-binding axis of the grid.
 fn late_variant(idx: usize) -> LateBindings {
-    match idx % 4 {
+    match idx % 5 {
         0 => LateBindings::default(),
         1 => LateBindings {
             governors: Some(vec![GovernorConfig::Performance, GovernorConfig::Powersave]),
@@ -62,7 +62,7 @@ fn late_variant(idx: usize) -> LateBindings {
                 },
             ),
         },
-        _ => LateBindings {
+        3 => LateBindings {
             governors: Some(vec![GovernorConfig::Powersave, GovernorConfig::Performance]),
             faults: FaultPlan::new().with(
                 SimTime::from_millis(WARMUP_MS),
@@ -70,6 +70,15 @@ fn late_variant(idx: usize) -> LateBindings {
                     cluster: 1,
                     missed_samples: 2,
                 },
+            ),
+        },
+        // The big cluster goes offline at the warm-up instant itself.
+        _ => LateBindings {
+            governors: None,
+            faults: FaultPlan::new().with_outage(
+                SimTime::from_millis(WARMUP_MS),
+                SimDuration::from_millis(50),
+                &[4, 5, 6, 7],
             ),
         },
     }
@@ -118,7 +127,7 @@ fn prefix_specs_group_by_shared_prefix() {
 
 #[test]
 fn prefix_shared_sweep_equals_cold_sweep_through_cache_and_journal() {
-    let scenarios: Vec<Scenario> = (0..4)
+    let scenarios: Vec<Scenario> = (0..5)
         .map(|i| grid_point(&format!("grid-{i}"), 9, true, true, late_variant(i)))
         .collect();
     let base = std::env::temp_dir().join(format!("bl-snapshot-test-{}", std::process::id()));
@@ -351,7 +360,7 @@ proptest! {
     #[test]
     fn fork_vs_cold_bit_identical(
         seed in 0u64..1_000,
-        late_idx in 0usize..4,
+        late_idx in 0usize..5,
         prefix_faults in proptest::bool::ANY,
         skip_ahead in proptest::bool::ANY,
     ) {

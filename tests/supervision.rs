@@ -48,17 +48,21 @@ fn chaos_batch_completes_with_quarantine_and_cache_self_heal() {
     // Healthy + always-panicking (duty out of range) + hanging scenario:
     // the supervised sweep must return normally with the failers
     // quarantined in their slots.
-    let batch = vec![
-        mb("healthy", 0.4, 300),
-        mb("panics", 2.0, 300),
-        staller("hangs"),
-    ];
+    let mut healthy = mb("healthy", 0.4, 300);
+    // A few hundred events: audit often enough to get several passes.
+    healthy.config = healthy.config.with_audit_cadence(32);
+    let batch = vec![healthy, mb("panics", 2.0, 300), staller("hangs")];
     let opts = SweepOptions::with_jobs(2)
         .cached(&dir)
         .with_retries(1)
-        .with_deadline(Duration::from_secs(120));
+        .with_deadline(Duration::from_secs(120))
+        .audited(true);
     let first = sweep::run_with(&batch, &opts);
     let clean = first.results[0].as_ref().unwrap().clone();
+    assert!(
+        clean.resilience.audit_checks > 0,
+        "the invariant auditor ran beside the failers"
+    );
     assert!(matches!(
         first.results[1],
         Err(SimError::ScenarioPanicked { .. })
