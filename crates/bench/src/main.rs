@@ -475,16 +475,7 @@ fn submit_cli(args: &[String]) -> i32 {
             .collect();
         (values, out, true)
     } else if let Some((input, output)) = batch_io {
-        let text = std::fs::read_to_string(&input).expect("read --batch input file");
-        let v: Value = serde_json::from_str(&text).expect("--batch input is JSON");
-        let arr = match v.get("scenarios") {
-            Some(s) => s.as_array().expect("\"scenarios\" is an array").to_vec(),
-            None => v
-                .as_array()
-                .expect("--batch input is a scenario array")
-                .to_vec(),
-        };
-        (arr, output, false)
+        (read_batch(&input), output, false)
     } else {
         eprintln!("submit: one of --demo <out>, --batch <in> <out>, --status, --ping, --drain");
         return 2;
@@ -538,6 +529,20 @@ fn submit_cli(args: &[String]) -> i32 {
             eprintln!("submit: {e}");
             1
         }
+    }
+}
+
+/// The scenarios of a `--batch` input file: a JSON array of them, or an
+/// object whose `"scenarios"` field is one. A file that cannot be read,
+/// is not JSON or holds no such array is a usage error naming it.
+fn read_batch(path: &str) -> Vec<Value> {
+    let text = std::fs::read_to_string(path)
+        .unwrap_or_else(|e| usage(&format!("--batch: cannot read {path:?}: {e}")));
+    let v: Value = serde_json::from_str(&text)
+        .unwrap_or_else(|_| usage(&format!("--batch: {path:?} is not JSON")));
+    match v.get("scenarios").unwrap_or(&v).as_array() {
+        Some(scenarios) => scenarios.to_vec(),
+        None => usage(&format!("--batch: {path:?} holds no scenario array")),
     }
 }
 

@@ -305,7 +305,7 @@ fn duty_steps() -> Vec<Scenario> {
     scenarios
 }
 
-fn result_bytes(out: &sweep::SweepOutcome) -> Vec<String> {
+fn result_bytes(out: &sweep::SweepReport) -> Vec<String> {
     out.results
         .iter()
         .map(|r| serde_json::to_string(r.as_ref().expect("the scenario completes")).unwrap())

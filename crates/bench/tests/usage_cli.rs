@@ -25,6 +25,17 @@ fn bad_flags_and_values_are_usage_errors() {
         (vec!["serve", "--socket", "s", "--jobs", "x"], "--jobs"),
         (vec!["submit", "--socket", "s", "--seed", "q"], "--seed"),
     ];
+    // A `--batch` input that is missing, is not JSON or holds no scenario
+    // array; it is read before connecting, so no daemon is needed.
+    let batch_files = [
+        ("missing.json", None),
+        ("not-json.json", Some("{ not json")),
+        ("no-array.json", Some(r#"{"x":1}"#)),
+    ];
+    for (file, _) in batch_files {
+        let args = vec!["submit", "--socket", "s", "--batch", file, "out.json"];
+        cases.push((args, file));
+    }
     cases.extend(
         removed
             .iter()
@@ -33,6 +44,11 @@ fn bad_flags_and_values_are_usage_errors() {
 
     let cwd = std::env::temp_dir().join(format!("bl-usage-cli-{}", std::process::id()));
     std::fs::create_dir_all(&cwd).unwrap();
+    for (file, body) in batch_files {
+        if let Some(body) = body {
+            std::fs::write(cwd.join(file), body).unwrap();
+        }
+    }
     for (args, named) in cases {
         let out = Command::new(env!("CARGO_BIN_EXE_repro"))
             .args(&args)
@@ -45,5 +61,6 @@ fn bad_flags_and_values_are_usage_errors() {
         assert_eq!(stderr.lines().count(), 1, "{args:?}: {stderr}");
         assert!(stderr.contains(named), "{args:?}: {stderr}");
     }
+    assert!(!cwd.join("out.json").exists(), "a bad batch wrote a report");
     let _ = std::fs::remove_dir_all(&cwd);
 }

@@ -183,9 +183,7 @@ pub fn run_param_sweep(apps: Vec<AppModel>, seed: u64, opts: &SweepOptions) -> P
             ));
         }
     }
-    let results = sweep::SweepRequest::new(scenarios)
-        .options(opts.clone())
-        .run_expecting_all();
+    let results = sweep::run_all(&scenarios, opts);
     let baseline: Vec<(String, PerfMetric, RunResult)> = apps
         .iter()
         .zip(&results)

@@ -74,4 +74,4 @@ pub use options::SimOptions;
 pub use result::{ResilienceStats, RunResult};
 pub use scenario::{LateBindings, PlatformPreset, Scenario, StopWhen, Workload};
 pub use sim::{SimSnapshot, Simulation, SimulationBuilder};
-pub use sweep::{SweepOptions, SweepOutcome, SweepReport, SweepRequest, SweepStats};
+pub use sweep::{SweepOptions, SweepReport, SweepRequest, SweepStats};

@@ -21,7 +21,7 @@
 //!   [`SweepOptions::retries`] times with a perturbed seed
 //!   (`derive_seed(seed, attempt)`); scenarios that keep failing are
 //!   *quarantined* — their slot carries the final error, the sweep
-//!   completes, and [`SweepOutcome::degraded`] is raised instead of the
+//!   completes, and [`SweepReport::degraded`] is raised instead of the
 //!   whole batch dying. Configuration errors are never retried.
 //! * **Crash-only journaling.** With [`SweepOptions::journal_dir`] set,
 //!   every settled scenario is appended to a checksummed journal
@@ -78,6 +78,7 @@ use serde::{Deserialize, Serialize};
 use serde_json::Value;
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
@@ -136,10 +137,6 @@ pub struct SweepOptions {
     pub lease: Duration,
     /// How often a worker heartbeats the range it is executing.
     pub heartbeat: Duration,
-    /// Lease grants per range before the coordinator quarantines it — the
-    /// process-level twin of [`SweepOptions::retries`]: a range whose
-    /// workers keep dying degrades the batch instead of killing it.
-    pub range_attempts: u32,
     /// Chaos-test hook: once the first range completes, the coordinator
     /// SIGKILLs one worker that is mid-range, proving death reclamation
     /// end to end. Never set outside robustness tests.
@@ -174,7 +171,6 @@ impl Default for SweepOptions {
             workers: 0,
             lease: Duration::from_millis(10_000),
             heartbeat: Duration::from_millis(1_000),
-            range_attempts: 3,
             chaos_kill_one_worker: false,
             prefix_share: true,
             snap_store: None,
@@ -257,12 +253,6 @@ impl SweepOptions {
     /// Sets the worker heartbeat cadence for sharded mode.
     pub fn with_heartbeat(mut self, heartbeat: Duration) -> Self {
         self.heartbeat = heartbeat;
-        self
-    }
-
-    /// Sets how many lease grants a range gets before quarantine.
-    pub fn with_range_attempts(mut self, attempts: u32) -> Self {
-        self.range_attempts = attempts;
         self
     }
 
@@ -559,13 +549,6 @@ impl SweepRequest {
     pub fn run(&self) -> SweepReport {
         run_with(&self.scenarios, &self.options)
     }
-
-    /// [`SweepRequest::run`], unwrapping every result and panicking with
-    /// the failing scenario's label — for callers that treat any failure
-    /// as fatal.
-    pub fn run_expecting_all(&self) -> Vec<RunResult> {
-        run_all(&self.scenarios, &self.options)
-    }
 }
 
 /// Results and statistics of one sweep.
@@ -584,22 +567,6 @@ pub struct SweepReport {
     /// Execution statistics of this sweep alone.
     pub stats: SweepStats,
 }
-
-impl SweepReport {
-    /// Unwraps every result in submission order, panicking with the slot
-    /// index on the first failure.
-    pub fn expect_all(self) -> Vec<RunResult> {
-        self.results
-            .into_iter()
-            .enumerate()
-            .map(|(i, r)| r.unwrap_or_else(|e| panic!("scenario #{i} failed: {e}")))
-            .collect()
-    }
-}
-
-/// The pre-[`SweepReport`] name of the sweep's result type, kept so
-/// long-lived call sites read naturally during the transition.
-pub type SweepOutcome = SweepReport;
 
 /// Global tally across sweeps, drained by [`take_stats`] (the `bench`
 /// binary reads it to report per-experiment timing without threading the
@@ -653,7 +620,7 @@ pub fn run(scenarios: Vec<Scenario>, jobs: usize) -> Vec<Result<RunResult, SimEr
 /// Runs a batch of scenarios under full [`SweepOptions`] control and
 /// returns results plus execution statistics. The statistics are also
 /// merged into the global tally read by [`take_stats`].
-pub fn run_with(scenarios: &[Scenario], opts: &SweepOptions) -> SweepOutcome {
+pub fn run_with(scenarios: &[Scenario], opts: &SweepOptions) -> SweepReport {
     run_batch(&KeyedBatch::new(scenarios, opts), opts, None)
 }
 
@@ -672,15 +639,11 @@ pub fn run_cancelable(
     batch: &KeyedBatch,
     opts: &SweepOptions,
     cancel: &CancelToken,
-) -> SweepOutcome {
+) -> SweepReport {
     run_batch(batch, opts, Some(cancel))
 }
 
-fn run_batch(
-    batch: &KeyedBatch,
-    opts: &SweepOptions,
-    cancel: Option<&CancelToken>,
-) -> SweepOutcome {
+fn run_batch(batch: &KeyedBatch, opts: &SweepOptions, cancel: Option<&CancelToken>) -> SweepReport {
     let scenarios = &batch.scenarios;
     if opts.workers > 1 && !scenarios.is_empty() {
         let outcome = shard::run_sharded(batch, opts);
@@ -700,6 +663,7 @@ fn run_batch(
     let store = snap_store_for(opts);
     let snap_tally = Mutex::new(SnapshotStats::default());
     let env = ExecEnv {
+        batch,
         opts,
         journal: journal.as_ref(),
         resumed: &resumed_map,
@@ -708,7 +672,7 @@ fn run_batch(
         snap: &snap_tally,
     };
     let indices: Vec<usize> = (0..scenarios.len()).collect();
-    let raw = execute_indices(&indices, batch, &env, opts.effective_jobs());
+    let raw = execute_indices(&indices, &env, opts.effective_jobs());
 
     let mut results = Vec::with_capacity(scenarios.len());
     let mut attempts = Vec::with_capacity(scenarios.len());
@@ -748,7 +712,7 @@ fn run_batch(
     stats.degraded = stats.quarantined > 0 || stats.retries > 0;
     stats.snapshot = *snap_tally.lock().expect("snapshot tally poisoned");
     TALLY.lock().expect("stats tally poisoned").merge(&stats);
-    SweepOutcome {
+    SweepReport {
         results,
         degraded: stats.degraded,
         quarantined,
@@ -784,10 +748,12 @@ impl Supervised {
     }
 }
 
-/// Everything the supervisor needs beyond the scenario itself: options,
-/// the batch journal, resume knowledge, and — inside a sharded worker
-/// process — the cancellation token that trips when the coordinator dies.
+/// Everything the supervisor needs: the keyed batch (which also counts
+/// what its runs settle), options, the batch journal, resume knowledge,
+/// and the cancellation token — the caller's, or inside a sharded worker
+/// process the one that trips when the coordinator dies.
 pub(crate) struct ExecEnv<'a> {
+    pub(crate) batch: &'a KeyedBatch,
     pub(crate) opts: &'a SweepOptions,
     pub(crate) journal: Option<&'a Mutex<Journal>>,
     pub(crate) resumed: &'a HashMap<String, RunResult>,
@@ -801,25 +767,23 @@ pub(crate) struct ExecEnv<'a> {
     pub(crate) snap: &'a Mutex<SnapshotStats>,
 }
 
-/// Supervises one scenario: journal replay, cache lookup, then up to
-/// `1 + retries` budgeted attempts with reseeding, journaling the final
-/// result — success *or* exhausted failure — so a sharded coordinator can
-/// reconstruct the full outcome from journals alone.
+/// Supervises scenario `index` of the env's batch: journal replay, cache
+/// lookup, then up to `1 + retries` budgeted attempts with reseeding,
+/// journaling the final result — success *or* exhausted failure — so a
+/// sharded coordinator can reconstruct the full outcome from journals
+/// alone. Each settled scenario is counted on the batch
+/// ([`KeyedBatch::settled`]).
 ///
 /// When the env's cancellation token trips (coordinator death), the
 /// scenario is abandoned without journaling the failure and without
 /// retrying: a cancellation is not evidence about the scenario, and a
 /// journaled pseudo-error would poison the fleet-wide resume.
-pub(crate) fn supervise(
-    index: usize,
-    sc: &Scenario,
-    key: &str,
-    env: &ExecEnv<'_>,
-    snapshot: Option<&SimSnapshot>,
-) -> Supervised {
-    let opts = env.opts;
+fn supervise(index: usize, env: &ExecEnv<'_>, snapshot: Option<&SimSnapshot>) -> Supervised {
+    let (opts, batch) = (env.opts, env.batch);
+    let (sc, key) = (&batch.scenarios[index], batch.keys[index].as_str());
     let start = Instant::now();
     if let Some(r) = env.resumed.get(key) {
+        batch.settle(0);
         return Supervised {
             result: Ok(r.clone()),
             cache_hit: false,
@@ -836,6 +800,7 @@ pub(crate) fn supervise(
     if let Some(hit) = cache_path.as_deref().and_then(cache_read_checked) {
         let wall_ms = start.elapsed().as_secs_f64() * 1e3;
         journal_append(env.journal, done_record(key, &hit, 0, true, None, wall_ms));
+        batch.settle(0);
         return Supervised {
             result: Ok(hit),
             cache_hit: true,
@@ -893,6 +858,7 @@ pub(crate) fn supervise(
                 env.journal,
                 done_record(key, r, attempts.len() as u32, false, fp, wall_ms),
             );
+            batch.settle(r.events_processed);
         }
         Err(e) => {
             if !cancelled() {
@@ -900,6 +866,7 @@ pub(crate) fn supervise(
                     env.journal,
                     err_record(key, e, attempts.len() as u32, wall_ms),
                 );
+                batch.settle(0);
             }
         }
     }
@@ -1124,10 +1091,10 @@ fn plan_units(indices: &[usize], batch: &KeyedBatch, opts: &SweepOptions) -> Vec
 /// error.
 pub(crate) fn execute_indices(
     indices: &[usize],
-    batch: &KeyedBatch,
     env: &ExecEnv<'_>,
     jobs: usize,
 ) -> Vec<Supervised> {
+    let batch = env.batch;
     let units = plan_units(indices, batch, env.opts);
     let membership: Vec<Vec<usize>> = units
         .iter()
@@ -1139,8 +1106,8 @@ pub(crate) fn execute_indices(
     let fresh = CancelToken::new();
     let cancel = env.cancel.unwrap_or(&fresh);
     let raw = pool::scoped_map_cancelable(units, jobs, cancel, |_, unit| match unit {
-        Unit::One(i) => vec![(i, run_one(i, batch, env))],
-        Unit::Group(members) => run_group(&members, batch, env),
+        Unit::One(i) => vec![(i, run_one(i, env))],
+        Unit::Group(members) => run_group(&members, env),
     });
     let pos: HashMap<usize, usize> = indices.iter().enumerate().map(|(p, &i)| (i, p)).collect();
     let mut out: Vec<Option<Supervised>> = indices.iter().map(|_| None).collect();
@@ -1181,21 +1148,22 @@ pub(crate) fn execute_indices(
 /// tries to hydrate its trunk chain from the store (publishing a freshly
 /// built chain otherwise), so even singleton scenarios reuse trunks warmed
 /// by earlier invocations, sibling workers, or other hosts.
-fn run_one(i: usize, batch: &KeyedBatch, env: &ExecEnv<'_>) -> Supervised {
+fn run_one(i: usize, env: &ExecEnv<'_>) -> Supervised {
+    let batch = env.batch;
     let (sc, key, chain) = (&batch.scenarios[i], &batch.keys[i], batch.chain(i));
     let warm = env.store.is_some()
         && !chain.is_empty()
         && !env.resumed.contains_key(key)
         && !cache_entry_present(env.opts, key);
     if !warm {
-        return supervise(i, sc, key, env, None);
+        return supervise(i, env, None);
     }
     let trunk = build_chain_snapshots(sc, chain, env);
     let snap = trunk.as_ref().and_then(|t| t.snaps.last());
     let unpublished = trunk
         .as_ref()
         .map_or_else(Vec::new, |t| t.unpublished(chain));
-    publishing(env, &unpublished, || supervise(i, sc, key, env, snap))
+    publishing(env, &unpublished, || supervise(i, env, snap))
 }
 
 /// Executes one fork group serially on the calling worker thread.
@@ -1214,7 +1182,8 @@ fn run_one(i: usize, batch: &KeyedBatch, env: &ExecEnv<'_>) -> Supervised {
 /// prefix key — exactly the pre-tree behavior, one snapshot per set of
 /// identical full prefixes. Freshly simulated snapshots are published to
 /// the store while the members run ([`publishing`]).
-fn run_group(members: &[usize], batch: &KeyedBatch, env: &ExecEnv<'_>) -> Vec<(usize, Supervised)> {
+fn run_group(members: &[usize], env: &ExecEnv<'_>) -> Vec<(usize, Supervised)> {
+    let batch = env.batch;
     let (effective, keys) = (&batch.scenarios, &batch.keys);
     let pending: Vec<usize> = members
         .iter()
@@ -1226,7 +1195,7 @@ fn run_group(members: &[usize], batch: &KeyedBatch, env: &ExecEnv<'_>) -> Vec<(u
     if pending.len() < 2 {
         return members
             .iter()
-            .map(|&i| (i, supervise(i, &effective[i], &keys[i], env, None)))
+            .map(|&i| (i, supervise(i, env, None)))
             .collect();
     }
 
@@ -1257,7 +1226,7 @@ fn run_group(members: &[usize], batch: &KeyedBatch, env: &ExecEnv<'_>) -> Vec<(u
                         .contains(&i)
                         .then(|| built.as_ref()?.snaps.get(batch.chain(i).len() - 1))
                         .flatten();
-                    (i, supervise(i, &effective[i], &keys[i], env, snap))
+                    (i, supervise(i, env, snap))
                 })
                 .collect()
         });
@@ -1290,7 +1259,7 @@ fn run_group(members: &[usize], batch: &KeyedBatch, env: &ExecEnv<'_>) -> Vec<(u
                     .flatten()
                     .and_then(|k| leaf_snaps.get(k))
                     .map(|t| &t.snaps[0]);
-                (i, supervise(i, &effective[i], &keys[i], env, snap))
+                (i, supervise(i, env, snap))
             })
             .collect()
     })
@@ -1631,6 +1600,11 @@ pub fn batch_key_for(scenarios: &[Scenario], opts: &SweepOptions) -> String {
 /// [`KeyedBatch::batch_key`] before running anything, and hand the same
 /// value to [`run_cancelable`].
 ///
+/// In-process runs of the batch count on it, in memory, the scenarios they
+/// settle and the events they simulate ([`KeyedBatch::settled`],
+/// [`KeyedBatch::events_simulated`]), so a caller that shares it with the
+/// thread running it can follow the run's progress.
+///
 /// Keys depend on the [`SweepOptions`] a batch is keyed under (through
 /// [`SweepOptions::audit`]), so it must run under the same options.
 #[derive(Debug)]
@@ -1639,6 +1613,8 @@ pub struct KeyedBatch {
     keys: Vec<String>,
     chains: Vec<Vec<String>>,
     batch_key: String,
+    settled: AtomicU64,
+    events: AtomicU64,
 }
 
 impl KeyedBatch {
@@ -1668,6 +1644,8 @@ impl KeyedBatch {
             keys,
             chains,
             batch_key,
+            settled: AtomicU64::new(0),
+            events: AtomicU64::new(0),
         }
     }
 
@@ -1694,6 +1672,28 @@ impl KeyedBatch {
     /// The batch key: the run's name and its journal's file stem.
     pub fn batch_key(&self) -> &str {
         &self.batch_key
+    }
+
+    /// Scenarios the batch's in-process runs have settled so far: each one
+    /// replayed from the journal, read from the cache, simulated, or failed
+    /// for good. A scenario a cancellation interrupted is not settled, and
+    /// sharded runs settle theirs in worker processes, uncounted here.
+    pub fn settled(&self) -> u64 {
+        self.settled.load(Ordering::Relaxed)
+    }
+
+    /// Simulator events of the results the batch's in-process runs have
+    /// simulated so far ([`RunResult::events_processed`]). A result
+    /// replayed from the journal or read from the cache simulated nothing
+    /// and adds nothing.
+    pub fn events_simulated(&self) -> u64 {
+        self.events.load(Ordering::Relaxed)
+    }
+
+    /// Counts one settled scenario that simulated `events`.
+    fn settle(&self, events: u64) {
+        self.settled.fetch_add(1, Ordering::Relaxed);
+        self.events.fetch_add(events, Ordering::Relaxed);
     }
 }
 
@@ -2262,7 +2262,7 @@ mod tests {
             .collect()
     }
 
-    fn result_bytes(out: &SweepOutcome) -> Vec<String> {
+    fn result_bytes(out: &SweepReport) -> Vec<String> {
         out.results
             .iter()
             .map(|r| serde_json::to_string(r.as_ref().expect("scenario runs")).unwrap())
@@ -2399,6 +2399,40 @@ mod tests {
         // Without --resume the journal is truncated and everything re-runs.
         let fresh = run_with(&batch, &opts);
         assert_eq!(fresh.stats.resumed, 0);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_keyed_batch_counts_what_its_runs_settle_and_simulate() {
+        let dir = temp_dir("counts");
+        let batch = vec![mb("n1", 0.2), mb("n2", 0.6)];
+        let opts = SweepOptions::serial().journaled(&dir).resuming(true);
+        let counts = |keyed: &KeyedBatch| (keyed.settled(), keyed.events_simulated());
+
+        let fresh = KeyedBatch::new(&batch, &opts);
+        let out = run_cancelable(&fresh, &opts, &CancelToken::new());
+        let simulated: u64 = out
+            .results
+            .iter()
+            .map(|r| r.as_ref().expect("scenario runs").events_processed)
+            .sum();
+        assert!(simulated > 0);
+        assert_eq!(counts(&fresh), (2, simulated));
+
+        // A verbatim rerun replays both from the journal: settled, but
+        // nothing simulated.
+        let rerun = KeyedBatch::new(&batch, &opts);
+        let out = run_cancelable(&rerun, &opts, &CancelToken::new());
+        assert_eq!(out.stats.resumed, 2);
+        assert_eq!(counts(&rerun), (2, 0));
+
+        // A run cancelled before it starts settles nothing, not even what
+        // it could replay.
+        let cancel = CancelToken::new();
+        cancel.cancel();
+        let cancelled = KeyedBatch::new(&batch, &opts);
+        run_cancelable(&cancelled, &opts, &cancel);
+        assert_eq!(counts(&cancelled), (0, 0));
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -52,7 +52,7 @@ use serde_json::Value;
 use super::{
     collect_entries, collect_snapstats, execute_indices, snap_store_for, snapstats_record, ExecEnv,
     JournalEntry, KeyedBatch, QuarantineRecord, ScenarioStats, ShardStats, SnapshotStats,
-    SweepOptions, SweepOutcome, SweepStats, WorkerStats, PER_SCENARIO_CAP,
+    SweepOptions, SweepReport, SweepStats, WorkerStats, PER_SCENARIO_CAP,
 };
 use crate::result::RunResult;
 use crate::scenario::Scenario;
@@ -60,6 +60,11 @@ use crate::scenario::Scenario;
 /// Test hook: a worker whose fleet id equals this variable's value wedges
 /// on its first lease — alive but silent — to exercise lease expiry.
 pub const WEDGE_ENV: &str = "BL_SHARD_TEST_WEDGE_WORKER";
+
+/// Lease grants per range before the coordinator quarantines it — the
+/// process-level twin of [`SweepOptions::retries`]: a range whose workers
+/// keep dying degrades the batch instead of killing it.
+const RANGE_ATTEMPTS: u32 = 3;
 
 /// Everything a worker process needs to join a fleet.
 #[derive(Debug, Clone)]
@@ -372,6 +377,7 @@ fn execute_range(
             }
         });
         let env = ExecEnv {
+            batch,
             opts: &spec.opts,
             journal: Some(journal),
             resumed,
@@ -385,7 +391,7 @@ fn execute_range(
         let indices: Vec<usize> = (start..end).collect();
         // Fork groups form within the leased range; results land in the
         // worker's journal, so the return value is irrelevant here.
-        let _ = execute_indices(&indices, batch, &env, jobs);
+        let _ = execute_indices(&indices, &env, jobs);
         stop.store(true, Ordering::Relaxed);
     });
 }
@@ -543,10 +549,10 @@ fn write_lease_snapshot(dir: &Path, bkey: &str, board: &LeaseBoard) {
     );
 }
 
-/// A [`SweepOutcome`] where setup failed before any worker ran: every
+/// A [`SweepReport`] where setup failed before any worker ran: every
 /// slot carries the error, mirroring how the in-process engine accounts
 /// failed scenarios.
-fn fail_all(scenarios: &[Scenario], error: &SimError) -> SweepOutcome {
+fn fail_all(scenarios: &[Scenario], error: &SimError) -> SweepReport {
     let n = scenarios.len();
     let mut stats = SweepStats {
         scenarios: n as u64,
@@ -576,7 +582,7 @@ fn fail_all(scenarios: &[Scenario], error: &SimError) -> SweepOutcome {
         }
         results.push(Err(error.clone()));
     }
-    SweepOutcome {
+    SweepReport {
         results,
         degraded: true,
         quarantined,
@@ -588,14 +594,14 @@ fn fail_all(scenarios: &[Scenario], error: &SimError) -> SweepOutcome {
 /// Runs the batch across a fleet of worker processes. Never panics on
 /// fleet trouble: setup failures, dead workers and poisoned ranges all
 /// surface as typed per-scenario errors in the outcome.
-pub(crate) fn run_sharded(batch: &KeyedBatch, opts: &SweepOptions) -> SweepOutcome {
+pub(crate) fn run_sharded(batch: &KeyedBatch, opts: &SweepOptions) -> SweepReport {
     match run_sharded_inner(batch, opts) {
         Ok(outcome) => outcome,
         Err(e) => fail_all(&batch.scenarios, &e),
     }
 }
 
-fn run_sharded_inner(batch: &KeyedBatch, opts: &SweepOptions) -> Result<SweepOutcome, SimError> {
+fn run_sharded_inner(batch: &KeyedBatch, opts: &SweepOptions) -> Result<SweepReport, SimError> {
     let (scenarios, keys) = (&batch.scenarios, &batch.keys);
     let n = scenarios.len();
     let dir = opts.journal_dir.clone().ok_or_else(|| {
@@ -652,7 +658,7 @@ fn run_sharded_inner(batch: &KeyedBatch, opts: &SweepOptions) -> Result<SweepOut
     // Fine-grained ranges (≈4 per worker) keep re-lease losses small.
     let chunk = n.div_ceil(opts.workers * 4).max(1);
     let lease_ms = opts.lease.as_millis().max(1) as u64;
-    let mut board = LeaseBoard::new(partition(n, chunk), lease_ms, opts.range_attempts);
+    let mut board = LeaseBoard::new(partition(n, chunk), lease_ms, RANGE_ATTEMPTS);
 
     // Spawn the fleet.
     let nonce = u64::from(std::process::id());
@@ -932,7 +938,7 @@ fn run_sharded_inner(batch: &KeyedBatch, opts: &SweepOptions) -> Result<SweepOut
             })
             .collect(),
     });
-    Ok(SweepOutcome {
+    Ok(SweepReport {
         results,
         degraded: stats.degraded,
         quarantined,

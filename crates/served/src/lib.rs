@@ -7,13 +7,14 @@
 //! * [`proto`] — the wire grammar: strict request parsing with typed
 //!   rejections, and the event lines the server streams back;
 //! * [`lifecycle`] — the pure run-lifecycle state machine
-//!   (`admitted → leased → running → complete | quarantined`)
+//!   (`admitted → running → complete | quarantined`)
 //!   with bounded admission, per-client fair-share queues and
 //!   injected-clock wedge detection;
 //! * [`server`] — the daemon: std-only threads over a `UnixListener`, a
 //!   checksummed service journal whose one synced record per run is its
 //!   admission, batch included, and which a restart folds, compacts and
-//!   adopts from; journal-poll progress streaming; and SIGTERM drain;
+//!   adopts from; progress streamed from the counts the sweep engine
+//!   keeps on each run's batch; and SIGTERM drain;
 //! * [`client`] — submit with retry, exponential backoff and
 //!   reconnect-and-resume; resubmission after a daemon SIGKILL converges
 //!   on results byte-identical to a one-shot sweep, because the run id

@@ -9,17 +9,18 @@
 //! The lifecycle:
 //!
 //! ```text
-//! admitted → leased → running → complete
-//!                             ↘ quarantined
+//! admitted → running → complete
+//!                    ↘ quarantined
 //! ```
 //!
 //! `admitted` means the run passed admission control; its client hears
 //! so once the daemon has synced its admission record, batch included:
-//! the one promise it makes. `leased` means an executor owns it (the
-//! daemon may start the executor before the admission syncs, and
-//! journals `leased` after it), `running` means it has settled its first
-//! scenario, and the two terminal states record how it ended. Terminal runs may be resubmitted: the engine's journal replay
-//! makes the re-run cheap and byte-identical.
+//! the one promise it makes. `running` means an executor owns it (the
+//! daemon may start the executor before the admission syncs), and the two
+//! terminal states record how it ended. Only the admission and the
+//! terminal state are journaled: adoption reads nothing else, and treats
+//! every non-terminal state as open. Terminal runs may be resubmitted:
+//! the engine's journal replay makes the re-run cheap and byte-identical.
 
 use crate::proto::Reject;
 use std::collections::{HashMap, VecDeque};
@@ -30,9 +31,7 @@ pub enum RunState {
     /// Admitted and queued. Its admission record, carrying the batch, is
     /// synced before the client is told.
     Admitted,
-    /// Handed to an executor, no progress observed yet.
-    Leased,
-    /// Making observable progress.
+    /// Handed to an executor.
     Running,
     /// Finished (possibly degraded — scenario-level quarantines live in
     /// the sweep report, not here).
@@ -46,19 +45,18 @@ impl RunState {
     pub fn as_str(self) -> &'static str {
         match self {
             RunState::Admitted => "admitted",
-            RunState::Leased => "leased",
             RunState::Running => "running",
             RunState::Complete => "complete",
             RunState::Quarantined => "quarantined",
         }
     }
 
-    /// Parses a journal/wire rendering.
+    /// Parses a journal/wire rendering. `leased`, which older daemons
+    /// journaled when an executor took a run, reads as running.
     pub fn parse(s: &str) -> Option<RunState> {
         Some(match s {
             "admitted" => RunState::Admitted,
-            "leased" => RunState::Leased,
-            "running" => RunState::Running,
+            "leased" | "running" => RunState::Running,
             "complete" => RunState::Complete,
             "quarantined" => RunState::Quarantined,
             _ => return None,
@@ -82,7 +80,7 @@ pub struct RunEntry {
     pub total: usize,
     /// Current lifecycle state.
     pub state: RunState,
-    /// Scenarios settled so far (journal done/err records).
+    /// Scenarios settled so far, as the sweep engine counts them.
     pub done: usize,
     /// Injected timestamp of the last observed progress (or grant).
     pub last_progress_ms: u64,
@@ -107,8 +105,8 @@ pub enum Admission {
 /// Admission-control limits.
 #[derive(Debug, Clone, Copy)]
 pub struct BoardLimits {
-    /// Most runs waiting in the queue (leased/running runs do not
-    /// count). Past this, submissions get [`Reject::QueueFull`].
+    /// Most runs waiting in the queue (running runs do not count).
+    /// Past this, submissions get [`Reject::QueueFull`].
     pub max_queued: usize,
     /// Most scenarios summed over queued runs. Past this, submissions
     /// get [`Reject::Overloaded`].
@@ -167,11 +165,11 @@ impl RunBoard {
             .sum()
     }
 
-    /// Runs currently leased or running.
+    /// Runs currently running.
     pub fn active(&self) -> usize {
         self.runs
             .values()
-            .filter(|e| matches!(e.state, RunState::Leased | RunState::Running))
+            .filter(|e| e.state == RunState::Running)
             .count()
     }
 
@@ -262,7 +260,7 @@ impl RunBoard {
     /// with clients A and B both queued, grants alternate A, B, A, B
     /// regardless of how many runs A has piled up. Respects
     /// [`BoardLimits::max_active`]; the chosen run transitions to
-    /// [`RunState::Leased`].
+    /// [`RunState::Running`].
     pub fn start_next(&mut self, now_ms: u64) -> Option<String> {
         if self.active() >= self.limits.max_active || self.queues.is_empty() {
             return None;
@@ -273,7 +271,7 @@ impl RunBoard {
             if let Some(run) = self.queues[idx].1.pop_front() {
                 self.cursor = (idx + 1) % n;
                 if let Some(e) = self.runs.get_mut(&run) {
-                    e.state = RunState::Leased;
+                    e.state = RunState::Running;
                     e.last_progress_ms = now_ms;
                 }
                 return Some(run);
@@ -282,8 +280,7 @@ impl RunBoard {
         None
     }
 
-    /// Records observed progress (`done` settled scenarios). The first
-    /// progress moves a leased run to [`RunState::Running`]. Returns
+    /// Records observed progress (`done` settled scenarios). Returns
     /// whether the count advanced.
     pub fn progress(&mut self, run: &str, done: usize, now_ms: u64) -> bool {
         let Some(e) = self.runs.get_mut(run) else {
@@ -293,9 +290,6 @@ impl RunBoard {
         if advanced {
             e.done = done;
             e.last_progress_ms = now_ms;
-        }
-        if e.state == RunState::Leased && (advanced || done > 0) {
-            e.state = RunState::Running;
         }
         advanced
     }
@@ -330,7 +324,7 @@ impl RunBoard {
     pub fn wedged(&self, now_ms: u64, timeout_ms: u64) -> Vec<String> {
         self.runs
             .values()
-            .filter(|e| matches!(e.state, RunState::Leased | RunState::Running))
+            .filter(|e| e.state == RunState::Running)
             .filter(|e| now_ms.saturating_sub(e.last_progress_ms) >= timeout_ms)
             .map(|e| e.run.clone())
             .collect()
@@ -358,9 +352,9 @@ mod tests {
         );
         assert_eq!(b.get("r1").unwrap().state, RunState::Admitted);
         assert_eq!(b.start_next(1).as_deref(), Some("r1"));
-        assert_eq!(b.get("r1").unwrap().state, RunState::Leased);
-        assert!(b.progress("r1", 2, 2));
         assert_eq!(b.get("r1").unwrap().state, RunState::Running);
+        assert!(b.progress("r1", 2, 2));
+        assert!(!b.progress("r1", 2, 3), "an unmoved count is no progress");
         b.complete("r1");
         assert_eq!(b.get("r1").unwrap().state, RunState::Complete);
         assert_eq!(b.completed(), 1);
@@ -463,7 +457,7 @@ mod tests {
         assert_eq!(
             b.submit("r1", "a", 6, 3).unwrap(),
             Admission::Attached {
-                state: RunState::Leased
+                state: RunState::Running
             }
         );
     }

@@ -375,7 +375,7 @@ pub enum Event {
         /// The daemon's live throughput signal.
         events_per_sec: f64,
     },
-    /// Progress advanced (journal grew).
+    /// Progress advanced (more scenarios settled).
     Checkpoint {
         /// The run.
         run: String,

@@ -5,13 +5,13 @@
 //! comes back. So admission is one synced append to the checksummed
 //! service journal (`serve.runs.jsonl`), and that record carries the
 //! batch itself. Everything else is derived state, written and never
-//! synced: the other lifecycle records, the sweep engine's batch
-//! journals that carry the results, and snapshot-store entries. A power
-//! cut may lose any of it, and a restart re-derives it: the daemon
-//! adopts every admitted run from the journal and re-runs what was lost
-//! to identical bytes. SIGKILL loses nothing, since the kernel keeps
-//! every completed write; a restart plus a client resubmission recovers
-//! byte-identically either way.
+//! synced: the run's terminal record, the sweep engine's batch journals
+//! that carry the results, and snapshot-store entries. A power cut may
+//! lose any of it, and a restart re-derives it: the daemon adopts every
+//! admitted run from the journal and re-runs what was lost to identical
+//! bytes. SIGKILL loses nothing, since the kernel keeps every completed
+//! write; a restart plus a client resubmission recovers byte-identically
+//! either way.
 //!
 //! A submission is admitted in four steps, so that its simulation runs
 //! while its promise reaches the disk:
@@ -20,8 +20,7 @@
 //!    key is the run id, and the same value later runs;
 //! 2. **lease and start**: admission control queues the run, and when a
 //!    slot is free the scheduler leases it and starts its executor;
-//! 3. **append and sync** the admission record, then append the derived
-//!    `leased` record;
+//! 3. **append and sync** the admission record;
 //! 4. **`admitted`** is queued to the client.
 //!
 //! An executor may finish before step 3 does (a verbatim repeat replays
@@ -31,6 +30,10 @@
 //! steps 2 and 3 loses only derived state — journal records and
 //! snapshots of a run no client was told was admitted.
 //!
+//! A served run journals its synced `admitted` record and then one
+//! derived terminal record, `complete` or `quarantined`; the daemon adds
+//! a `draining` record when it drains. Adoption reads nothing else.
+//!
 //! Threading model (std only, no async runtime):
 //!
 //! * an **accept loop** thread blocks in `accept`, so a connection is
@@ -39,12 +42,12 @@
 //! * **reader** threads parse request lines (typed rejections answered
 //!   in place, so a malformed line never blocks the scheduler) and
 //!   forward work to the scheduler;
-//! * one **scheduler** thread owns the [`RunBoard`] and service journal,
-//!   performs admission, fair-share leasing, progress polling (the batch
-//!   journal file doubles as the progress feed — every record is a
-//!   checksummed frame, so a record the engine is still appending fails
-//!   its frame and reads as not yet appended), heartbeats, wedge
-//!   quarantine and drain;
+//! * one **scheduler** thread owns the [`Scheduler`]: the [`RunBoard`],
+//!   the service journal, connections and subscriptions. It performs
+//!   admission, fair-share leasing, progress (read from the counts the
+//!   engine keeps in memory on each run's batch,
+//!   [`KeyedBatch::settled`] and [`KeyedBatch::events_simulated`]),
+//!   heartbeats, wedge quarantine and drain;
 //! * one **executor** thread per active run calls
 //!   [`biglittle::sweep::run_cancelable`] with journaling + resume on,
 //!   so a restarted daemon re-running an adopted batch replays finished
@@ -59,12 +62,13 @@ use bl_simcore::durable::{self, Class, STALE_AFTER};
 use bl_simcore::journal::{self, Journal};
 use bl_simcore::snapstore::clean_stale_snapshots;
 use serde_json::Value;
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::io::{self, Read as _, Write as _};
 use std::os::unix::net::{UnixListener, UnixStream};
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{channel, RecvTimeoutError, Sender};
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
+use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -129,10 +133,6 @@ impl Default for ServeConfig {
 impl ServeConfig {
     fn journal_dir(&self) -> PathBuf {
         self.serve_dir.join("journal")
-    }
-
-    fn sweep_journal_path(&self, run: &str) -> PathBuf {
-        self.journal_dir().join(format!("{run}.jsonl"))
     }
 
     /// The sweep options a submission executes under.
@@ -219,58 +219,20 @@ enum Cmd {
 /// board entry.
 struct RunMeta {
     cancel: CancelToken,
-    /// The keyed batch, held until the run is leased and handed to its
-    /// executor.
-    batch: Option<KeyedBatch>,
+    /// The keyed batch, shared with the run's executor, which hands it to
+    /// [`sweep::run_cancelable`]; the engine counts the run's progress on
+    /// it.
+    batch: Arc<KeyedBatch>,
     options: SubmitOptions,
-    /// How far the run's sweep journal has been read.
-    progress: Progress,
 }
 
 impl RunMeta {
     fn new(batch: KeyedBatch, options: SubmitOptions) -> RunMeta {
         RunMeta {
             cancel: CancelToken::new(),
-            batch: Some(batch),
+            batch: Arc::new(batch),
             options,
-            progress: Progress::default(),
         }
-    }
-}
-
-/// How far the scheduler has read one run's sweep journal: the offset
-/// just past the last complete line read, and the settled scenarios
-/// (`done` and `err` records) before it.
-#[derive(Debug, Default)]
-struct Progress {
-    offset: u64,
-    settled: usize,
-}
-
-impl Progress {
-    /// Reads what was appended to the journal at `path` since the last
-    /// call, starting over when the file got shorter. Returns the
-    /// simulated events of the new `done` records and the bytes read.
-    fn advance(&mut self, path: &Path) -> io::Result<(u64, u64)> {
-        let tail = Journal::load_tail(path, self.offset)?;
-        if tail.from < self.offset {
-            self.settled = 0;
-        }
-        let mut events = 0;
-        for line in &tail.records {
-            let done = line.starts_with("{\"ev\":\"done\"");
-            if done || line.starts_with("{\"ev\":\"err\"") {
-                self.settled += 1;
-            }
-            if done {
-                events += serde_json::from_str::<Value>(line)
-                    .ok()
-                    .and_then(|v| v.get("result")?.get("events_processed")?.as_u64())
-                    .unwrap_or(0);
-            }
-        }
-        self.offset = tail.next;
-        Ok((events, tail.read))
     }
 }
 
@@ -284,7 +246,7 @@ static ON_LEASE: std::sync::Mutex<Option<LeaseProbe>> = std::sync::Mutex::new(No
 /// Test hook: called on the scheduler thread each time a run finishes,
 /// with the daemon's serve directory and its simulated-event count.
 #[cfg(test)]
-type FinishProbe = Box<dyn Fn(&Path, u64) + Send>;
+type FinishProbe = Box<dyn Fn(&std::path::Path, u64) + Send>;
 #[cfg(test)]
 static ON_FINISH: std::sync::Mutex<Option<FinishProbe>> = std::sync::Mutex::new(None);
 
@@ -309,7 +271,7 @@ pub fn serve(cfg: ServeConfig) -> io::Result<i32> {
     eprintln!("serve: listening on {}", cfg.socket.display());
 
     let (tx, rx) = channel::<Cmd>();
-    let shutdown = std::sync::Arc::new(AtomicBool::new(false));
+    let shutdown = Arc::new(AtomicBool::new(false));
 
     // Accept loop: blocks in `accept`; drain wakes it with one connect
     // (below), after which it sees the flag and exits.
@@ -336,7 +298,13 @@ pub fn serve(cfg: ServeConfig) -> io::Result<i32> {
         }
     });
 
-    let code = scheduler_loop(&cfg, tx, rx);
+    let code = match Scheduler::open(cfg.clone(), tx) {
+        Ok(scheduler) => scheduler.run(rx),
+        Err(e) => {
+            eprintln!("serve: cannot open service journal: {e}");
+            1
+        }
+    };
 
     // If the wake-up connect fails, the accept thread is left detached
     // rather than joined, so drain never hangs; the process it runs in
@@ -371,163 +339,388 @@ fn startup_hygiene(cfg: &ServeConfig) {
     );
 }
 
-fn now_ms(start: Instant) -> u64 {
-    start.elapsed().as_millis() as u64
+/// All mutable serving state, owned by the scheduler thread: the run
+/// board and each open run's meta, the connections' writers and their
+/// run subscriptions, the service journal and the throughput window. Its
+/// methods are the daemon's transitions.
+struct Scheduler {
+    cfg: ServeConfig,
+    /// Handed to each executor, which reports back through it.
+    tx: Sender<Cmd>,
+    start: Instant,
+    board: RunBoard,
+    meta: HashMap<String, RunMeta>,
+    writers: HashMap<u64, Sender<Out>>,
+    subs: HashMap<String, Vec<u64>>,
+    service: Journal,
+    /// Events simulated by the runs that have finished.
+    finished_events: u64,
+    /// Throughput samples, `(when, events simulated so far)`, one per
+    /// heartbeat.
+    rate_window: VecDeque<(Instant, u64)>,
 }
 
-/// The scheduler: owns all mutable serving state, processes commands,
-/// ticks heartbeats/progress/wedges, and decides when drain is done.
-fn scheduler_loop(cfg: &ServeConfig, tx: Sender<Cmd>, rx: std::sync::mpsc::Receiver<Cmd>) -> i32 {
-    let start = Instant::now();
-    let mut board = RunBoard::new(cfg.limits);
-    let mut meta: HashMap<String, RunMeta> = HashMap::new();
-    let mut writers: HashMap<u64, Sender<Out>> = HashMap::new();
-    let mut subs: HashMap<String, Vec<u64>> = HashMap::new();
-    let mut service = match Journal::open(cfg.serve_dir.join("serve.runs.jsonl"), true) {
-        Ok(j) => j,
-        Err(e) => {
-            eprintln!("serve: cannot open service journal: {e}");
-            return 1;
-        }
-    };
-    adopt_runs(cfg, &mut service, &mut board, &mut meta, start);
+impl Scheduler {
+    /// Opens the service journal and adopts every open run it holds.
+    fn open(cfg: ServeConfig, tx: Sender<Cmd>) -> io::Result<Scheduler> {
+        let service = Journal::open(cfg.serve_dir.join("serve.runs.jsonl"), true)?;
+        let mut scheduler = Scheduler {
+            board: RunBoard::new(cfg.limits),
+            cfg,
+            tx,
+            start: Instant::now(),
+            meta: HashMap::new(),
+            writers: HashMap::new(),
+            subs: HashMap::new(),
+            service,
+            finished_events: 0,
+            rate_window: VecDeque::new(),
+        };
+        scheduler.adopt_runs();
+        Ok(scheduler)
+    }
 
-    // Throughput signal: cumulative simulated events, counted from the
-    // `done` records each run appends to its sweep journal, sampled into
-    // a short window.
-    let mut observed_events: u64 = 0;
-    let mut rate_window: std::collections::VecDeque<(Instant, u64)> = Default::default();
-    let mut last_heartbeat = Instant::now();
-    let mut draining = false;
+    fn now_ms(&self) -> u64 {
+        self.start.elapsed().as_millis() as u64
+    }
 
-    let tick = Duration::from_millis(cfg.heartbeat.as_millis().min(100) as u64);
-    loop {
-        // Lease as much as capacity allows before sleeping.
-        for run in start_ready_runs(cfg, &mut board, &mut meta, &tx, start) {
-            journal_leased(&mut service, &board, &run);
-        }
+    /// Processes commands, ticks progress, wedges and heartbeats, and
+    /// returns the exit code once drain is done.
+    fn run(mut self, rx: Receiver<Cmd>) -> i32 {
+        let mut last_heartbeat = Instant::now();
+        let tick = Duration::from_millis(self.cfg.heartbeat.as_millis().min(100) as u64);
+        loop {
+            // Lease as much as capacity allows before sleeping.
+            self.start_ready_runs();
 
-        let cmd = rx.recv_timeout(tick);
-        if SIGTERM.load(Ordering::SeqCst) && !draining {
-            draining = true;
-            board.drain();
-            journal_transition(&mut service, "daemon", "draining", "", 0);
-            eprintln!("serve: SIGTERM — draining ({} active)", board.active());
-        }
-        match cmd {
-            Ok(Cmd::Connected { conn, writer }) => {
-                writers.insert(conn, writer);
+            let cmd = rx.recv_timeout(tick);
+            if SIGTERM.load(Ordering::SeqCst) && !self.board.draining() {
+                self.drain("SIGTERM — draining");
             }
-            Ok(Cmd::Disconnected { conn }) => {
-                writers.remove(&conn);
-                for list in subs.values_mut() {
-                    list.retain(|c| *c != conn);
+            match cmd {
+                Ok(Cmd::Connected { conn, writer }) => {
+                    self.writers.insert(conn, writer);
                 }
-            }
-            Ok(Cmd::Submit {
-                conn,
-                client,
-                scenarios,
-                options,
-            }) => {
-                handle_submit(
-                    cfg,
-                    &mut board,
-                    &mut meta,
-                    &mut subs,
-                    &writers,
-                    &mut service,
-                    &tx,
+                Ok(Cmd::Disconnected { conn }) => {
+                    self.writers.remove(&conn);
+                    for list in self.subs.values_mut() {
+                        list.retain(|c| *c != conn);
+                    }
+                }
+                Ok(Cmd::Submit {
                     conn,
                     client,
                     scenarios,
                     options,
-                    start,
-                );
-            }
-            Ok(Cmd::Status { conn }) => {
-                let eps = events_per_sec(&rate_window);
-                let line = status_line(&board, writers.len(), eps, draining || board.draining());
-                send_to(&writers, conn, &line);
-            }
-            Ok(Cmd::Drain { conn }) => {
-                if !draining {
-                    draining = true;
-                    board.drain();
-                    journal_transition(&mut service, "daemon", "draining", "", 0);
-                    eprintln!("serve: drain requested ({} active)", board.active());
+                }) => self.submit(conn, client, scenarios, options),
+                Ok(Cmd::Status { conn }) => {
+                    let line = self.status_line();
+                    send_to(&self.writers, conn, &line);
                 }
-                send_to(&writers, conn, &proto::draining_line());
+                Ok(Cmd::Drain { conn }) => {
+                    if !self.board.draining() {
+                        self.drain("drain requested");
+                    }
+                    send_to(&self.writers, conn, &proto::draining_line());
+                }
+                Ok(Cmd::Finished(f)) => self.finish_run(*f),
+                Err(RecvTimeoutError::Timeout) => {}
+                Err(RecvTimeoutError::Disconnected) => return 0,
             }
-            Ok(Cmd::Finished(f)) => {
-                finish_run(
-                    cfg,
-                    &mut board,
-                    &mut meta,
-                    &mut subs,
-                    &mut writers,
-                    &mut service,
-                    *f,
-                    &mut observed_events,
-                );
-            }
-            Err(RecvTimeoutError::Timeout) => {}
-            Err(RecvTimeoutError::Disconnected) => return 0,
-        }
 
-        // Progress polling + wedge detection on every pass.
-        poll_progress(
-            cfg,
-            &mut board,
-            &mut meta,
-            &subs,
-            &mut writers,
-            &mut service,
-            &mut observed_events,
-            start,
-        );
-        let wedged = board.wedged(now_ms(start), cfg.wedge_timeout.as_millis() as u64);
-        for run in wedged {
-            if let Some(m) = meta.get(&run) {
+            self.poll_progress();
+            self.cancel_wedged();
+            if last_heartbeat.elapsed() >= self.cfg.heartbeat {
+                last_heartbeat = Instant::now();
+                self.heartbeat();
+            }
+
+            if self.board.draining() && self.board.active() == 0 {
+                flush_writers(&self.writers);
+                return 0;
+            }
+        }
+    }
+
+    /// Stops admitting and journals the daemon's `draining` record.
+    fn drain(&mut self, why: &str) {
+        self.board.drain();
+        self.journal_transition("daemon", "draining", "", 0);
+        eprintln!("serve: {why} ({} active)", self.board.active());
+    }
+
+    /// Re-queues every non-terminal run found in the service journal:
+    /// the restarted daemon adopts in-flight work, and the engine's
+    /// journal replay keeps adopted re-runs byte-identical and cheap.
+    fn adopt_runs(&mut self) {
+        let now = self.now_ms();
+        let mut latest = fold(self.service.records());
+        let (mut adopted, mut quarantined) = (0, 0);
+        for f in &mut latest {
+            let Some(state) = RunState::parse(&f.state) else {
+                continue;
+            };
+            if state.is_terminal() {
+                continue;
+            }
+            // The admission record carries the batch; without a readable
+            // one (an admission written before batches moved into the
+            // journal) the run cannot be re-executed and is quarantined
+            // on the spot.
+            match f.batch.as_ref().and_then(parse_batch) {
+                Some((scenarios, options)) => {
+                    self.board.adopt(&f.run, &f.client, scenarios.len(), now);
+                    let batch = KeyedBatch::new(&scenarios, &self.cfg.run_options(&options));
+                    self.meta
+                        .insert(f.run.clone(), RunMeta::new(batch, options));
+                    adopted += 1;
+                    eprintln!(
+                        "serve: adopted run {} ({} scenarios, was {})",
+                        f.run,
+                        f.n,
+                        state.as_str()
+                    );
+                }
+                None => {
+                    eprintln!("serve: run {} has no readable batch — quarantining", f.run);
+                    self.board.adopt(&f.run, &f.client, f.n as usize, now);
+                    self.board.quarantine(&f.run);
+                    f.state = RunState::Quarantined.as_str().to_string();
+                    quarantined += 1;
+                }
+            }
+        }
+        // Compact: the post-adoption fold atomically replaces the full
+        // history, bounding the journal across restarts and recording the
+        // quarantines above. It keeps the batch of every non-terminal run,
+        // so it backs the same promise as the admissions it replaces.
+        let compacted: Vec<String> = latest
+            .iter()
+            .map(|f| {
+                let open = RunState::parse(&f.state).is_some_and(|s| !s.is_terminal());
+                run_record(
+                    &f.run,
+                    &f.state,
+                    &f.client,
+                    f.n,
+                    f.batch.clone().filter(|_| open),
+                )
+            })
+            .collect();
+        if quarantined > 0 || compacted.len() < self.service.records().len() {
+            match Journal::replace(Class::Promise, self.service.path(), compacted) {
+                Ok(fresh) => self.service = fresh,
+                Err(e) => eprintln!("serve: service journal compaction failed: {e}"),
+            }
+        }
+        if adopted > 0 {
+            eprintln!("serve: adopted {adopted} in-flight run(s) from the service journal");
+        }
+    }
+
+    /// Appends one lifecycle transition as derived state: a power cut may
+    /// lose it, and a restart re-derives it by adopting and re-running
+    /// the run. Journal failures are logged, not fatal: the daemon
+    /// degrades to serving without durability rather than dying
+    /// mid-request.
+    fn journal_transition(&mut self, run: &str, state: &str, client: &str, n: u64) {
+        let record = run_record(run, state, client, n, None);
+        if let Err(e) = self.service.append_all(Class::Derived, &[record]) {
+            eprintln!("serve: service journal append failed: {e}");
+        }
+    }
+
+    /// Admits one submission in the order the module doc sets out: key,
+    /// lease and start, append and sync, then `admitted`.
+    fn submit(
+        &mut self,
+        conn: u64,
+        client: String,
+        scenarios: Vec<Scenario>,
+        options: SubmitOptions,
+    ) {
+        let batch = KeyedBatch::new(&scenarios, &self.cfg.run_options(&options));
+        let run = batch.batch_key().to_string();
+        let n = scenarios.len() as u64;
+        match self
+            .board
+            .submit(&run, &client, scenarios.len(), self.now_ms())
+        {
+            Err(reject) => {
+                let line = proto::rejected_line(reject, reject.as_str());
+                send_to(&self.writers, conn, &line);
+            }
+            Ok(Admission::Attached { .. }) => {
+                self.subs.entry(run.clone()).or_default().push(conn);
+                send_to(&self.writers, conn, &proto::admitted_line(&run, 0));
+            }
+            Ok(Admission::Queued { position }) => {
+                self.meta
+                    .insert(run.clone(), RunMeta::new(batch, options.clone()));
+                // Start first: the executor simulates while the promise
+                // below syncs. What it writes before the sync returns is
+                // derived.
+                self.start_ready_runs();
+                // The promise: the admission record, carrying the batch,
+                // is synced before the client hears `admitted`, so a
+                // restart after any crash — a power cut included — adopts
+                // the run.
+                let batch = batch_value(&scenarios, &options);
+                let record = run_record(&run, RunState::Admitted.as_str(), &client, n, Some(batch));
+                if let Err(e) = self.service.append_all(Class::Promise, &[record]) {
+                    eprintln!("serve: cannot persist the admission of run {run}: {e}");
+                }
+                self.subs.entry(run.clone()).or_default().push(conn);
+                send_to(&self.writers, conn, &proto::admitted_line(&run, position));
+            }
+        }
+    }
+
+    /// Leases queued runs onto executor threads while capacity allows.
+    fn start_ready_runs(&mut self) {
+        while let Some(run) = self.board.start_next(self.now_ms()) {
+            let Some(m) = self.meta.get(&run) else {
+                self.board.quarantine(&run);
+                continue;
+            };
+            let batch = m.batch.clone();
+            let opts = self.cfg.run_options(&m.options);
+            let cancel = m.cancel.clone();
+            let tx = self.tx.clone();
+            let run_name = run.clone();
+            thread::spawn(move || executor(run_name, &batch, opts, cancel, tx));
+            #[cfg(test)]
+            if let Some(probe) = ON_LEASE.lock().expect("lease probe poisoned").as_ref() {
+                probe(&run);
+            }
+        }
+    }
+
+    /// Turns the settled counts the engine keeps on each open run's batch
+    /// into board progress and `checkpoint` events; a count that has not
+    /// moved sends nothing.
+    fn poll_progress(&mut self) {
+        let now = self.now_ms();
+        for (run, m) in &self.meta {
+            let done = m.batch.settled() as usize;
+            if self.board.progress(run, done, now) {
+                let total = self.board.get(run).map_or(0, |e| e.total as u64);
+                let line = proto::checkpoint_line(run, done as u64, total);
+                broadcast(&self.subs, &mut self.writers, run, &line);
+            }
+        }
+    }
+
+    /// Cancels every run that made no progress within the wedge timeout.
+    /// Its terminal bookkeeping happens when the executor reports back
+    /// `Finished { cancelled: true }`.
+    fn cancel_wedged(&self) {
+        let timeout_ms = self.cfg.wedge_timeout.as_millis() as u64;
+        for run in self.board.wedged(self.now_ms(), timeout_ms) {
+            if let Some(m) = self.meta.get(&run) {
                 eprintln!(
                     "serve: run {run} made no progress for {:?} — cancelling",
-                    cfg.wedge_timeout
+                    self.cfg.wedge_timeout
                 );
                 m.cancel.cancel();
-                // Terminal bookkeeping happens when the executor reports
-                // back Finished{cancelled: true}.
             }
         }
+    }
 
-        // Heartbeats + throughput sampling on the configured cadence.
-        if last_heartbeat.elapsed() >= cfg.heartbeat {
-            last_heartbeat = Instant::now();
-            rate_window.push_back((Instant::now(), observed_events));
-            while rate_window.len() > 16 {
-                rate_window.pop_front();
-            }
-            let eps = events_per_sec(&rate_window);
-            let runs: Vec<String> = subs.keys().cloned().collect();
-            for run in runs {
-                if let Some(e) = board.get(&run) {
-                    if !e.state.is_terminal() {
-                        let line = proto::heartbeat_line(
-                            &run,
-                            e.state.as_str(),
-                            e.done as u64,
-                            e.total as u64,
-                            eps,
-                        );
-                        broadcast(&subs, &mut writers, &run, &line);
-                    }
-                }
-            }
-        }
+    /// Events simulated so far: the finished runs' and the open runs'.
+    fn events(&self) -> u64 {
+        let open: u64 = self.meta.values().map(|m| m.batch.events_simulated()).sum();
+        self.finished_events + open
+    }
 
-        if draining && board.active() == 0 {
-            flush_writers(&writers);
-            return 0;
+    /// Samples the throughput window and sends every subscribed open run
+    /// a heartbeat.
+    fn heartbeat(&mut self) {
+        self.rate_window.push_back((Instant::now(), self.events()));
+        while self.rate_window.len() > 16 {
+            self.rate_window.pop_front();
         }
+        let eps = events_per_sec(&self.rate_window);
+        for run in self.subs.keys() {
+            if let Some(e) = self.board.get(run).filter(|e| !e.state.is_terminal()) {
+                let line = proto::heartbeat_line(
+                    run,
+                    e.state.as_str(),
+                    e.done as u64,
+                    e.total as u64,
+                    eps,
+                );
+                broadcast(&self.subs, &mut self.writers, run, &line);
+            }
+        }
+    }
+
+    /// Settles a run its executor reported back.
+    fn finish_run(&mut self, f: FinishedRun) {
+        let (client, total) = self
+            .board
+            .get(&f.run)
+            .map(|e| (e.client.clone(), e.total as u64))
+            .unwrap_or_default();
+        if f.cancelled {
+            self.board.quarantine(&f.run);
+            let state = RunState::Quarantined.as_str();
+            self.journal_transition(&f.run, state, &client, total);
+            let line = proto::quarantined_line(
+                &f.run,
+                "run made no progress within the server wedge timeout and was cancelled",
+            );
+            broadcast(&self.subs, &mut self.writers, &f.run, &line);
+            eprintln!("serve: run {} quarantined", f.run);
+        } else {
+            self.board.complete(&f.run);
+            let state = RunState::Complete.as_str();
+            self.journal_transition(&f.run, state, &client, total);
+            for (i, outcome) in f.results.iter().enumerate() {
+                let line = proto::result_line(&f.run, i as u64, outcome);
+                broadcast(&self.subs, &mut self.writers, &f.run, &line);
+            }
+            let line = proto::done_line(&f.run, f.degraded, f.quarantined, f.stats);
+            broadcast(&self.subs, &mut self.writers, &f.run, &line);
+            eprintln!(
+                "serve: run {} complete ({} scenarios)",
+                f.run,
+                f.results.len()
+            );
+        }
+        if let Some(m) = self.meta.remove(&f.run) {
+            self.finished_events += m.batch.events_simulated();
+        }
+        self.subs.remove(&f.run);
+        #[cfg(test)]
+        if let Some(probe) = ON_FINISH.lock().expect("finish probe poisoned").as_ref() {
+            probe(&self.cfg.serve_dir, self.events());
+        }
+    }
+
+    fn status_line(&self) -> String {
+        let board = &self.board;
+        serde_json::to_string(&Value::Object(vec![
+            ("ev".into(), Value::String("status".into())),
+            ("queued".into(), Value::UInt(board.queued() as u64)),
+            ("active".into(), Value::UInt(board.active() as u64)),
+            (
+                "pending_scenarios".into(),
+                Value::UInt(board.pending_scenarios() as u64),
+            ),
+            ("completed".into(), Value::UInt(board.completed())),
+            (
+                "quarantined_runs".into(),
+                Value::UInt(board.quarantined_runs()),
+            ),
+            ("clients".into(), Value::UInt(self.writers.len() as u64)),
+            (
+                "events_per_sec".into(),
+                Value::Float(events_per_sec(&self.rate_window)),
+            ),
+            ("draining".into(), Value::Bool(board.draining())),
+        ]))
+        .expect("status serializes")
     }
 }
 
@@ -580,78 +773,6 @@ fn fold(records: &[String]) -> Vec<Folded> {
     latest
 }
 
-/// Re-queues every non-terminal run found in the service journal: the
-/// restarted daemon adopts in-flight work, and the engine's journal
-/// replay keeps adopted re-runs byte-identical and cheap.
-fn adopt_runs(
-    cfg: &ServeConfig,
-    service: &mut Journal,
-    board: &mut RunBoard,
-    meta: &mut HashMap<String, RunMeta>,
-    start: Instant,
-) {
-    let mut latest = fold(service.records());
-    let (mut adopted, mut quarantined) = (0, 0);
-    for f in &mut latest {
-        let Some(state) = RunState::parse(&f.state) else {
-            continue;
-        };
-        if state.is_terminal() {
-            continue;
-        }
-        // The admission record carries the batch; without a readable one
-        // (an admission written before batches moved into the journal)
-        // the run cannot be re-executed and is quarantined on the spot.
-        match f.batch.as_ref().and_then(parse_batch) {
-            Some((scenarios, options)) => {
-                board.adopt(&f.run, &f.client, scenarios.len(), now_ms(start));
-                let batch = KeyedBatch::new(&scenarios, &cfg.run_options(&options));
-                meta.insert(f.run.clone(), RunMeta::new(batch, options));
-                adopted += 1;
-                eprintln!(
-                    "serve: adopted run {} ({} scenarios, was {})",
-                    f.run,
-                    f.n,
-                    state.as_str()
-                );
-            }
-            None => {
-                eprintln!("serve: run {} has no readable batch — quarantining", f.run);
-                board.adopt(&f.run, &f.client, f.n as usize, now_ms(start));
-                board.quarantine(&f.run);
-                f.state = RunState::Quarantined.as_str().to_string();
-                quarantined += 1;
-            }
-        }
-    }
-    // Compact: the post-adoption fold atomically replaces the full
-    // history, bounding the journal across restarts and recording the
-    // quarantines above. It keeps the batch of every non-terminal run, so
-    // it backs the same promise as the admissions it replaces.
-    let compacted: Vec<String> = latest
-        .iter()
-        .map(|f| {
-            let open = RunState::parse(&f.state).is_some_and(|s| !s.is_terminal());
-            run_record(
-                &f.run,
-                &f.state,
-                &f.client,
-                f.n,
-                f.batch.clone().filter(|_| open),
-            )
-        })
-        .collect();
-    if quarantined > 0 || compacted.len() < service.records().len() {
-        match Journal::replace(Class::Promise, service.path(), compacted) {
-            Ok(fresh) => *service = fresh,
-            Err(e) => eprintln!("serve: service journal compaction failed: {e}"),
-        }
-    }
-    if adopted > 0 {
-        eprintln!("serve: adopted {adopted} in-flight run(s) from the service journal");
-    }
-}
-
 /// One service-journal record: a run's lifecycle state, plus the batch on
 /// an admission (and on compacted non-terminal runs).
 fn run_record(run: &str, state: &str, client: &str, n: u64, batch: Option<Value>) -> String {
@@ -666,17 +787,6 @@ fn run_record(run: &str, state: &str, client: &str, n: u64, batch: Option<Value>
         fields.push(("batch".into(), batch));
     }
     serde_json::to_string(&Value::Object(fields)).expect("record serializes")
-}
-
-/// Appends one lifecycle transition as derived state: a power cut may
-/// lose it, and a restart re-derives it by adopting and re-running the
-/// run. Journal failures are logged, not fatal: the daemon degrades to
-/// serving without durability rather than dying mid-request.
-fn journal_transition(service: &mut Journal, run: &str, state: &str, client: &str, n: u64) {
-    let record = run_record(run, state, client, n, None);
-    if let Err(e) = service.append_all(Class::Derived, &[record]) {
-        eprintln!("serve: service journal append failed: {e}");
-    }
 }
 
 /// The batch an admission record carries: the scenarios and the options
@@ -723,115 +833,12 @@ fn parse_batch(v: &Value) -> Option<(Vec<Scenario>, SubmitOptions)> {
     Some((scenarios, options))
 }
 
-/// Admits one submission in the order the module doc sets out: key,
-/// lease and start, append and sync, then `admitted`.
-#[allow(clippy::too_many_arguments)]
-fn handle_submit(
-    cfg: &ServeConfig,
-    board: &mut RunBoard,
-    meta: &mut HashMap<String, RunMeta>,
-    subs: &mut HashMap<String, Vec<u64>>,
-    writers: &HashMap<u64, Sender<Out>>,
-    service: &mut Journal,
-    tx: &Sender<Cmd>,
-    conn: u64,
-    client: String,
-    scenarios: Vec<Scenario>,
-    options: SubmitOptions,
-    start: Instant,
-) {
-    let batch = KeyedBatch::new(&scenarios, &cfg.run_options(&options));
-    let run = batch.batch_key().to_string();
-    let n = scenarios.len() as u64;
-    match board.submit(&run, &client, scenarios.len(), now_ms(start)) {
-        Err(reject) => {
-            send_to(
-                writers,
-                conn,
-                &proto::rejected_line(reject, reject.as_str()),
-            );
-        }
-        Ok(Admission::Attached { .. }) => {
-            subs.entry(run.clone()).or_default().push(conn);
-            send_to(writers, conn, &proto::admitted_line(&run, 0));
-        }
-        Ok(Admission::Queued { position }) => {
-            meta.insert(run.clone(), RunMeta::new(batch, options.clone()));
-            // Start first: the executor simulates while the promise below
-            // syncs. What it writes before the sync returns is derived.
-            let leased = start_ready_runs(cfg, board, meta, tx, start);
-            // The promise: the admission record, carrying the batch, is
-            // synced before the client hears `admitted`, so a restart
-            // after any crash — a power cut included — adopts the run.
-            let batch = batch_value(&scenarios, &options);
-            let record = run_record(&run, RunState::Admitted.as_str(), &client, n, Some(batch));
-            if let Err(e) = service.append_all(Class::Promise, &[record]) {
-                eprintln!("serve: cannot persist the admission of run {run}: {e}");
-            }
-            for leased in leased {
-                journal_leased(service, board, &leased);
-            }
-            subs.entry(run.clone()).or_default().push(conn);
-            send_to(writers, conn, &proto::admitted_line(&run, position));
-        }
-    }
-}
-
-/// Leases queued runs onto executor threads while capacity allows, and
-/// returns the runs it started; the caller journals their `leased`
-/// records ([`journal_leased`]) once their admissions are written.
-fn start_ready_runs(
-    cfg: &ServeConfig,
-    board: &mut RunBoard,
-    meta: &mut HashMap<String, RunMeta>,
-    tx: &Sender<Cmd>,
-    start: Instant,
-) -> Vec<String> {
-    let mut started = Vec::new();
-    while let Some(run) = board.start_next(now_ms(start)) {
-        let Some((m, batch)) = meta
-            .get_mut(&run)
-            .and_then(|m| m.batch.take().map(|batch| (m, batch)))
-        else {
-            board.quarantine(&run);
-            continue;
-        };
-        // Records the journal already holds, a verbatim repeat's or an
-        // adopted run's, settle scenarios but were simulated before this
-        // lease: the throughput signal counts only what the lease appends.
-        let _ = m.progress.advance(&cfg.sweep_journal_path(&run));
-        let opts = cfg.run_options(&m.options);
-        let cancel = m.cancel.clone();
-        let tx = tx.clone();
-        let run_name = run.clone();
-        thread::spawn(move || executor(run_name, batch, opts, cancel, tx));
-        #[cfg(test)]
-        if let Some(probe) = ON_LEASE.lock().expect("lease probe poisoned").as_ref() {
-            probe(&run);
-        }
-        started.push(run);
-    }
-    started
-}
-
-/// Appends a leased run's derived `leased` record.
-fn journal_leased(service: &mut Journal, board: &RunBoard, run: &str) {
-    let entry = board.get(run).expect("leased run is tracked");
-    journal_transition(
-        service,
-        run,
-        RunState::Leased.as_str(),
-        &entry.client,
-        entry.total as u64,
-    );
-}
-
 /// One run's executor. Reports back whatever happened; a panic would be
 /// caught by the engine's own supervision, and a send failure means the
 /// daemon is already gone.
 fn executor(
     run: String,
-    batch: KeyedBatch,
+    batch: &KeyedBatch,
     opts: SweepOptions,
     cancel: CancelToken,
     tx: Sender<Cmd>,
@@ -853,7 +860,7 @@ fn executor(
         return;
     }
     let t0 = Instant::now();
-    let out = sweep::run_cancelable(&batch, &opts, &cancel);
+    let out = sweep::run_cancelable(batch, &opts, &cancel);
     let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
     let results: Vec<Result<Value, String>> = out
         .results
@@ -898,127 +905,7 @@ fn executor(
     })));
 }
 
-/// Settles a run its executor reported back; a last poll of its journal
-/// counts the events appended since the previous poll.
-#[allow(clippy::too_many_arguments)]
-fn finish_run(
-    cfg: &ServeConfig,
-    board: &mut RunBoard,
-    meta: &mut HashMap<String, RunMeta>,
-    subs: &mut HashMap<String, Vec<u64>>,
-    writers: &mut HashMap<u64, Sender<Out>>,
-    service: &mut Journal,
-    f: FinishedRun,
-    observed_events: &mut u64,
-) {
-    let (client, total) = board
-        .get(&f.run)
-        .map(|e| (e.client.clone(), e.total as u64))
-        .unwrap_or_default();
-    if f.cancelled {
-        board.quarantine(&f.run);
-        journal_transition(
-            service,
-            &f.run,
-            RunState::Quarantined.as_str(),
-            &client,
-            total,
-        );
-        broadcast(
-            subs,
-            writers,
-            &f.run,
-            &proto::quarantined_line(
-                &f.run,
-                "run made no progress within the server wedge timeout and was cancelled",
-            ),
-        );
-        eprintln!("serve: run {} quarantined", f.run);
-    } else {
-        board.complete(&f.run);
-        journal_transition(service, &f.run, RunState::Complete.as_str(), &client, total);
-        for (i, outcome) in f.results.iter().enumerate() {
-            broadcast(
-                subs,
-                writers,
-                &f.run,
-                &proto::result_line(&f.run, i as u64, outcome),
-            );
-        }
-        broadcast(
-            subs,
-            writers,
-            &f.run,
-            &proto::done_line(&f.run, f.degraded, f.quarantined, f.stats.clone()),
-        );
-        eprintln!(
-            "serve: run {} complete ({} scenarios)",
-            f.run,
-            f.results.len()
-        );
-    }
-    if let Some(mut m) = meta.remove(&f.run) {
-        if let Ok((events, _)) = m.progress.advance(&cfg.sweep_journal_path(&f.run)) {
-            *observed_events += events;
-        }
-    }
-    subs.remove(&f.run);
-    #[cfg(test)]
-    if let Some(probe) = ON_FINISH.lock().expect("finish probe poisoned").as_ref() {
-        probe(&cfg.serve_dir, *observed_events);
-    }
-}
-
-/// Folds fresh sweep-journal lines into progress counts, checkpoint
-/// events and the throughput signal; a leased run turns Running at its
-/// first settled scenario. Each poll reads only what was appended since
-/// the last ([`Progress::advance`]). Reading while the engine appends
-/// needs no lock: a half-written last record is not a complete line yet
-/// and is read again by a later poll.
-#[allow(clippy::too_many_arguments)]
-fn poll_progress(
-    cfg: &ServeConfig,
-    board: &mut RunBoard,
-    meta: &mut HashMap<String, RunMeta>,
-    subs: &HashMap<String, Vec<u64>>,
-    writers: &mut HashMap<u64, Sender<Out>>,
-    service: &mut Journal,
-    observed_events: &mut u64,
-    start: Instant,
-) {
-    let active: Vec<String> = meta.keys().cloned().collect();
-    for run in active {
-        let Some(entry) = board.get(&run) else {
-            continue;
-        };
-        if !matches!(entry.state, RunState::Leased | RunState::Running) {
-            continue;
-        }
-        let was_leased = entry.state == RunState::Leased;
-        let (client, total) = (entry.client.clone(), entry.total as u64);
-        let Some(m) = meta.get_mut(&run) else {
-            continue;
-        };
-        let Ok((events, _)) = m.progress.advance(&cfg.sweep_journal_path(&run)) else {
-            continue;
-        };
-        *observed_events += events;
-        let done = m.progress.settled;
-        if board.progress(&run, done, now_ms(start)) {
-            if was_leased {
-                journal_transition(service, &run, RunState::Running.as_str(), &client, total);
-            }
-            broadcast(
-                subs,
-                writers,
-                &run,
-                &proto::checkpoint_line(&run, done as u64, total),
-            );
-        }
-    }
-}
-
-fn events_per_sec(window: &std::collections::VecDeque<(Instant, u64)>) -> f64 {
+fn events_per_sec(window: &VecDeque<(Instant, u64)>) -> f64 {
     match (window.front(), window.back()) {
         (Some((t0, e0)), Some((t1, e1))) if t1 > t0 => {
             let dt = t1.duration_since(*t0).as_secs_f64();
@@ -1030,27 +917,6 @@ fn events_per_sec(window: &std::collections::VecDeque<(Instant, u64)>) -> f64 {
         }
         _ => 0.0,
     }
-}
-
-fn status_line(board: &RunBoard, clients: usize, eps: f64, draining: bool) -> String {
-    serde_json::to_string(&Value::Object(vec![
-        ("ev".into(), Value::String("status".into())),
-        ("queued".into(), Value::UInt(board.queued() as u64)),
-        ("active".into(), Value::UInt(board.active() as u64)),
-        (
-            "pending_scenarios".into(),
-            Value::UInt(board.pending_scenarios() as u64),
-        ),
-        ("completed".into(), Value::UInt(board.completed())),
-        (
-            "quarantined_runs".into(),
-            Value::UInt(board.quarantined_runs()),
-        ),
-        ("clients".into(), Value::UInt(clients as u64)),
-        ("events_per_sec".into(), Value::Float(eps)),
-        ("draining".into(), Value::Bool(draining)),
-    ]))
-    .expect("status serializes")
 }
 
 fn send_to(writers: &HashMap<u64, Sender<Out>>, conn: u64, line: &str) {
@@ -1261,6 +1127,7 @@ mod tests {
     use bl_simcore::durable::{Image, PowerCut};
     use bl_simcore::time::SimDuration;
     use std::io::BufRead as _;
+    use std::path::Path;
     use std::sync::{Arc, Mutex};
 
     fn temp_root(name: &str) -> PathBuf {
@@ -1380,16 +1247,18 @@ mod tests {
             run_record("r4", "admitted", "c", 2, Some(open)),
         ];
         Journal::replace(Class::Derived, &path, history).unwrap();
-        for pass in 0..2 {
-            let mut service = Journal::open(&path, true).unwrap();
-            // Adoption re-queues every open run, past the admission limits.
-            let mut board = RunBoard::new(BoardLimits {
+        // Adoption re-queues every open run, past the admission limits.
+        let cfg = ServeConfig {
+            serve_dir: root.clone(),
+            limits: BoardLimits {
                 max_queued: 1,
                 ..BoardLimits::default()
-            });
-            let mut meta = HashMap::new();
-            let cfg = ServeConfig::default();
-            adopt_runs(&cfg, &mut service, &mut board, &mut meta, Instant::now());
+            },
+            ..ServeConfig::default()
+        };
+        for pass in 0..2 {
+            let Scheduler { board, meta, .. } =
+                Scheduler::open(cfg.clone(), channel().0).expect("the journal opens");
             // Only the first adoption finds r1 open; the second reads the
             // quarantine the first one compacted into the journal.
             assert_eq!(
@@ -1400,8 +1269,7 @@ mod tests {
             let mut adopted: Vec<&String> = meta.keys().collect();
             adopted.sort();
             assert_eq!(adopted, ["r2", "r4"], "pass {pass}");
-            let adopted = meta["r2"].batch.as_ref().expect("held until leased");
-            let adopted = adopted.scenarios();
+            let adopted = meta["r2"].batch.scenarios();
             assert_eq!(
                 serde_json::to_string(&batch_value(adopted, &meta["r2"].options)).unwrap(),
                 serde_json::to_string(&batch_value(&scenarios, &SubmitOptions::default())).unwrap()
@@ -1422,64 +1290,6 @@ mod tests {
             let batches: Vec<bool> = fold(&records).iter().map(|f| f.batch.is_some()).collect();
             assert_eq!(batches, [false, true, false, true], "pass {pass}");
         }
-        let _ = std::fs::remove_dir_all(&root);
-    }
-
-    #[test]
-    fn progress_reads_only_what_was_appended() {
-        let root = temp_root("progress");
-        let path = root.join("run.jsonl");
-        let record = |i: u64| {
-            if i % 7 == 6 {
-                format!(r#"{{"ev":"err","key":"k{i}"}}"#)
-            } else {
-                format!(r#"{{"ev":"done","key":"k{i}","result":{{"events_processed":{i}}}}}"#)
-            }
-        };
-        let mut journal = Journal::open(&path, false).unwrap();
-        let mut progress = Progress::default();
-        let (mut appended, mut polls, mut read, mut events, mut partial) = (0u64, 0u64, 0, 0, 0);
-        let mut poll = |progress: &mut Progress, settled: u64| {
-            let (ev, bytes) = progress.advance(&path).unwrap();
-            polls += 1;
-            read += bytes;
-            events += ev;
-            assert_eq!(progress.settled as u64, settled);
-        };
-        while appended < 1_000 {
-            let n = (1 + appended % 5).min(1_000 - appended);
-            let records: Vec<String> = (appended..appended + n).map(record).collect();
-            journal.append_all(Class::Derived, &records).unwrap();
-            appended += n;
-            poll(&mut progress, appended);
-            // Every other step the poll catches a record half-written.
-            if appended % 2 == 0 && appended < 1_000 {
-                let frame = durable::frame(&record(appended));
-                let (head, tail) = frame.as_bytes().split_at(frame.len() / 2);
-                let mut raw = std::fs::OpenOptions::new()
-                    .append(true)
-                    .open(&path)
-                    .unwrap();
-                raw.write_all(head).unwrap();
-                partial = partial.max(head.len() as u64);
-                poll(&mut progress, appended);
-                raw.write_all(tail).unwrap();
-                appended += 1;
-            }
-        }
-        poll(&mut progress, 1_000);
-        let size = std::fs::metadata(&path).unwrap().len();
-        assert!(
-            read <= size + polls * partial,
-            "{read} bytes read over {polls} polls of a {size}-byte journal"
-        );
-        let done_events: u64 = (0..1_000).filter(|i| i % 7 != 6).sum();
-        assert_eq!(events, done_events);
-
-        // A journal that got shorter is read again from the start.
-        Journal::replace(Class::Derived, &path, vec![record(0), record(6)]).unwrap();
-        let (events, _) = progress.advance(&path).unwrap();
-        assert_eq!((progress.settled, events), (2, 0));
         let _ = std::fs::remove_dir_all(&root);
     }
 
@@ -1622,6 +1432,39 @@ mod tests {
             "the rest of the daemon's writes went through durable unsynced"
         );
         drop(cut);
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn a_drained_daemon_journals_each_served_run_as_its_admission_and_one_terminal_record() {
+        let root = temp_root("lifecycle-records");
+        let cfg = config(&root);
+        let daemon = start(&cfg);
+        let (a, _) = served(&cfg, "c0", &batch("a", 100));
+        let (b, _) = served(&cfg, "c0", &batch("b", 200));
+        // A verbatim repeat of a completed run is a run of its own.
+        served(&cfg, "c1", &batch("a", 100));
+        drain(&cfg, daemon);
+        let records: Vec<(String, String)> = Journal::load(&cfg.serve_dir.join("serve.runs.jsonl"))
+            .unwrap()
+            .iter()
+            .map(|line| {
+                let v: Value = serde_json::from_str(line).unwrap();
+                let field = |k: &str| v.get(k).and_then(Value::as_str).unwrap().to_string();
+                (field("run"), field("state"))
+            })
+            .collect();
+        let want = [
+            (&a, "admitted"),
+            (&a, "complete"),
+            (&b, "admitted"),
+            (&b, "complete"),
+            (&a, "admitted"),
+            (&a, "complete"),
+            (&"daemon".to_string(), "draining"),
+        ]
+        .map(|(run, state)| (run.clone(), state.to_string()));
+        assert_eq!(records, want);
         let _ = std::fs::remove_dir_all(&root);
     }
 

@@ -19,9 +19,7 @@
 //!   before loading, so a new record never glues onto a fragment;
 //! * a reader running alongside the writer ([`Journal::load`]) may catch
 //!   an append half-written: its last line fails the frame and reads as
-//!   not yet appended, so no lock is needed; a reader that follows the
-//!   writer ([`Journal::load_tail`]) reads each appended byte once, plus
-//!   a partial last line again on its next read;
+//!   not yet appended, so no lock is needed;
 //! * a **whole-file rewrite** (compaction, fleet merge) goes through
 //!   [`Journal::replace`], i.e. [`durable::replace`], so a crash leaves
 //!   the old journal or the new one, never a torn mix;
@@ -31,7 +29,7 @@
 
 use crate::durable::{self, Appender, Class};
 use std::fs;
-use std::io::{self, Read as _, Seek as _};
+use std::io;
 use std::path::{Path, PathBuf};
 
 /// 64-bit FNV-1a over a byte slice — the workspace's standard content
@@ -180,54 +178,6 @@ impl Journal {
             Err(e) => Err(e),
         }
     }
-
-    /// [`Journal::load`] of only the complete lines past byte `offset` —
-    /// how a reader following a writer (the serve daemon polling a run's
-    /// progress) reads each record once instead of the whole file on
-    /// every poll. Pass the previous read's [`Tail::next`]; a partial last
-    /// line is left for the next read. A file shorter than `offset` (it
-    /// was cut or replaced) is read from the start, which [`Tail::from`]
-    /// reports, and a missing file reads as empty.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors other than the file not existing.
-    pub fn load_tail(path: &Path, offset: u64) -> io::Result<Tail> {
-        let mut file = match fs::File::open(path) {
-            Ok(file) => file,
-            Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(Tail::default()),
-            Err(e) => return Err(e),
-        };
-        let from = if file.metadata()?.len() < offset {
-            0
-        } else {
-            offset
-        };
-        file.seek(io::SeekFrom::Start(from))?;
-        let mut bytes = Vec::new();
-        file.read_to_end(&mut bytes)?;
-        let complete = bytes.iter().rposition(|&b| b == b'\n').map_or(0, |i| i + 1);
-        Ok(Tail {
-            records: parse(&bytes[..complete]),
-            from,
-            next: from + complete as u64,
-            read: bytes.len() as u64,
-        })
-    }
-}
-
-/// What [`Journal::load_tail`] read of a journal past an offset.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct Tail {
-    /// The checksummed records among the complete lines read, in order.
-    pub records: Vec<String>,
-    /// Where the read started: the offset asked for, or 0 when the file
-    /// had become shorter than that offset.
-    pub from: u64,
-    /// Just past the last complete line read: where the next read starts.
-    pub next: u64,
-    /// Bytes read from the file, a partial last line included.
-    pub read: u64,
 }
 
 /// Frames `payloads` into one buffer, or `InvalidInput` if any is

@@ -210,7 +210,7 @@ fn ladder() -> Vec<Scenario> {
         .collect()
 }
 
-fn result_bytes(out: &sweep::SweepOutcome) -> Vec<String> {
+fn result_bytes(out: &sweep::SweepReport) -> Vec<String> {
     out.results
         .iter()
         .map(|r| serde_json::to_string(r.as_ref().expect("scenario runs")).unwrap())
