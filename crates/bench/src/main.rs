@@ -7,9 +7,7 @@
 //! repro --seed 7            # different stochastic draws
 //! repro --jobs 4            # sweep parallelism (0 or omitted = all cores)
 //! repro --no-cache          # bypass the on-disk result cache
-//! repro --cache-clear       # drop the cache (and snapshot store) before running
-//! repro --no-snap-store     # disable the persistent warm-snapshot store
-//! repro --snap-store-dir d  # persistent snapshot store location (default results/.snapshots)
+//! repro --cache-clear       # drop the cache before running
 //! repro --deadline-ms 60000 # per-scenario wall-clock budget
 //! repro --max-events 50000000 # per-scenario simulated-event budget
 //! repro --retries 2         # retry failed scenarios with a reseed
@@ -36,15 +34,12 @@
 //! `repro --worker ...` is the internal worker mode sharded sweeps spawn;
 //! it is not meant to be invoked by hand.
 
-use std::path::Path;
 use std::slice::Iter;
 use std::str::FromStr;
 use std::time::{Duration, Instant};
 
-use biglittle::{sweep, SimOptions, SweepOptions};
+use biglittle::{sweep, SweepOptions};
 use bl_bench::{run_experiment_json_with, run_experiment_with, EXPERIMENTS, SEED};
-use bl_simcore::durable::STALE_AFTER;
-use bl_simcore::snapstore::{clean_stale_snapshots, SnapStore};
 use serde::Value;
 
 /// Default cache location, relative to the working directory.
@@ -84,12 +79,9 @@ fn main() {
     let mut cache = true;
     let mut cache_clear = false;
     let mut journal = true;
-    let mut snap_store = true;
-    let mut snap_dir: String = sweep::DEFAULT_SNAP_DIR.to_string();
-    // Execution knobs (budgets, auditing) funnel through the same
-    // serializable bundle `SimulationBuilder::options` consumes, so the
-    // CLI and programmatic front ends share one source of truth.
-    let mut sim_opts = SimOptions::default();
+    let mut deadline_ms: Option<u64> = None;
+    let mut max_events: Option<u64> = None;
+    let mut audit = false;
     let mut retries: u32 = 0;
     let mut resume = false;
     let mut workers: usize = 0;
@@ -108,15 +100,11 @@ fn main() {
             "--jobs" => jobs = value(&mut it, a),
             "--no-cache" => cache = false,
             "--no-journal" => journal = false,
-            // Deferred until after parsing so it also clears the snapshot
-            // store at whatever directory `--snap-store-dir` names.
             "--cache-clear" => cache_clear = true,
-            "--no-snap-store" => snap_store = false,
-            "--snap-store-dir" => snap_dir = value(&mut it, a),
-            "--deadline-ms" => sim_opts.deadline_ms = Some(value(&mut it, a)),
-            "--max-events" => sim_opts.max_events = Some(value(&mut it, a)),
+            "--deadline-ms" => deadline_ms = Some(value(&mut it, a)),
+            "--max-events" => max_events = Some(value(&mut it, a)),
             "--retries" => retries = value(&mut it, a),
-            "--audit" => sim_opts.audit = true,
+            "--audit" => audit = true,
             "--resume" => resume = true,
             "--workers" => workers = value(&mut it, a),
             "--lease-ms" => lease_ms = Some(value(&mut it, a)),
@@ -132,7 +120,6 @@ fn main() {
                 println!(
                     "usage: repro [--exp <id>] [--seed <n>] [--fast] [--json] [--out <dir>]\n\
                      \x20            [--jobs <n>] [--no-cache] [--cache-clear] [--no-journal]\n\
-                     \x20            [--no-snap-store] [--snap-store-dir <dir>]\n\
                      \x20            [--deadline-ms <n>] [--max-events <n>] [--retries <n>]\n\
                      \x20            [--audit] [--resume]\n\
                      \x20            [--workers <n>] [--lease-ms <n>] [--heartbeat-ms <n>]\n\
@@ -152,35 +139,29 @@ fn main() {
             usage(&format!("unknown experiment {id:?}"));
         }
     }
-
-    if cache_clear {
-        if std::fs::remove_dir_all(CACHE_DIR).is_ok() {
-            eprintln!("cleared {CACHE_DIR}");
-        }
-        let removed = SnapStore::open(snap_dir.clone()).clear();
-        if removed > 0 {
-            eprintln!("cleared {removed} snapshot(s) from {snap_dir}");
-        }
+    // Worker processes hand their results back through the journal.
+    if workers > 1 && !journal {
+        usage(&format!(
+            "--workers {workers} needs the sweep journal: drop --no-journal"
+        ));
     }
-    // Startup hygiene: debris of killed publishers — orphaned `.tmp`
-    // files and unkeyed `.snap` files — ages out of the store directory,
-    // mirroring the journal directory's stale-artifact sweep.
-    if snap_store {
-        let removed = clean_stale_snapshots(Path::new(&snap_dir), STALE_AFTER);
-        if removed > 0 {
-            eprintln!("snapshot hygiene: removed {removed} stale file(s) from {snap_dir}");
-        }
+
+    if cache_clear && std::fs::remove_dir_all(CACHE_DIR).is_ok() {
+        eprintln!("cleared {CACHE_DIR}");
     }
 
     let opts = {
         let mut o = SweepOptions::with_jobs(jobs)
             .with_retries(retries)
-            .with_sim_options(&sim_opts);
+            .audited(audit);
+        if let Some(ms) = deadline_ms {
+            o = o.with_deadline(Duration::from_millis(ms));
+        }
+        if let Some(n) = max_events {
+            o = o.with_event_cap(n);
+        }
         if cache {
             o = o.cached(CACHE_DIR);
-        }
-        if snap_store {
-            o = o.snap_stored(snap_dir.clone());
         }
         if journal {
             o = o.journaled(sweep::DEFAULT_JOURNAL_DIR).resuming(resume);

@@ -51,6 +51,11 @@ fn sigkilled_demo_sweep_resumes_byte_identically() {
         .expect("spawn reference demo sweep");
     assert!(status.success());
     let reference = std::fs::read(ref_cwd.join("ref.json")).expect("reference report exists");
+    // No demo scenario warms up, and `repro` wires no snapshot store.
+    assert!(
+        !ref_cwd.join("results/.snapshots").exists(),
+        "repro created a snapshot store"
+    );
 
     // Victim: same batch, killed (SIGKILL — no cleanup handlers run) once
     // the journal shows at least one completed scenario.
@@ -117,12 +122,11 @@ fn sigkilled_demo_sweep_resumes_byte_identically() {
     let _ = std::fs::remove_dir_all(&kill_cwd);
 }
 
-/// Runs `repro --demo-sweep <out>` with no cache, journal or snapshot
-/// store plus `extra` flags in `cwd`, and returns the parsed report.
+/// Runs `repro --demo-sweep <out>` with no cache or journal plus `extra`
+/// flags in `cwd`, and returns the parsed report.
 fn demo_report(cwd: &Path, out: &str, extra: &[&str]) -> Value {
     let output = repro()
         .args(["--demo-sweep", out, "--no-cache", "--no-journal"])
-        .arg("--no-snap-store")
         .args(extra)
         .current_dir(cwd)
         .output()

@@ -1,13 +1,14 @@
 //! `repro`'s flag grammar: a missing or malformed flag value, an unknown
-//! experiment id or an unknown flag is a usage error — one line on stderr
-//! naming it, nothing on stdout, exit 2, and no panic.
+//! experiment id, an unknown flag or a flag pair that cannot work
+//! together is a usage error — one line on stderr naming it, nothing on
+//! stdout, exit 2, and no panic.
 
 use std::process::Command;
 
 #[test]
 fn bad_flags_and_values_are_usage_errors() {
-    // The timing suites and chaos harnesses that were once modes of
-    // `repro` are unknown flags now.
+    // The timing suites, chaos harnesses and snapshot-store flags that
+    // were once part of `repro` are unknown flags now.
     let removed = [
         "bench-hotloop",
         "bench-snapshot",
@@ -15,6 +16,8 @@ fn bad_flags_and_values_are_usage_errors() {
         "smoke-supervision",
         "smoke-shard",
         "smoke-serve",
+        "no-snap-store",
+        "snap-store-dir",
     ]
     .map(|mode| format!("--{mode}"));
     let mut cases: Vec<(Vec<&str>, &str)> = vec![
@@ -22,6 +25,8 @@ fn bad_flags_and_values_are_usage_errors() {
         (vec!["--exp"], "--exp"),
         (vec!["--fast", "--exp"], "--exp"),
         (vec!["--exp", "nosuch"], "nosuch"),
+        // Worker processes report through the journal.
+        (vec!["--workers", "2", "--no-journal"], "--no-journal"),
         (vec!["serve", "--socket", "s", "--jobs", "x"], "--jobs"),
         (vec!["submit", "--socket", "s", "--seed", "q"], "--seed"),
     ];

@@ -63,14 +63,12 @@
 
 pub mod config;
 pub mod experiments;
-pub mod options;
 pub mod result;
 pub mod scenario;
 pub mod sim;
 pub mod sweep;
 
 pub use config::SystemConfig;
-pub use options::SimOptions;
 pub use result::{ResilienceStats, RunResult};
 pub use scenario::{LateBindings, PlatformPreset, Scenario, StopWhen, Workload};
 pub use sim::{SimSnapshot, Simulation, SimulationBuilder};

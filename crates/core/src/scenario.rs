@@ -336,33 +336,6 @@ impl Scenario {
         self.run_to_stop(&mut sim)
     }
 
-    /// Builds the prefix of this scenario — platform, config, workloads,
-    /// run to the warm-up point — and captures it as a [`SimSnapshot`].
-    /// Every scenario with an equal [`Scenario::prefix_scenario`] can then
-    /// continue from it via [`Scenario::run_forked`].
-    ///
-    /// # Errors
-    ///
-    /// Everything [`Scenario::run_with_budget`] reports, plus
-    /// [`SimError::InvalidConfig`] when the scenario has no warm-up point
-    /// and [`SimError::SnapshotUnsupported`] when the warmed-up state
-    /// cannot be captured (e.g. a closure-driven task).
-    pub fn snapshot_prefix(&self, budget: &RunBudget) -> Result<SimSnapshot, SimError> {
-        let w = self.warmup.ok_or_else(|| {
-            SimError::config(format!(
-                "scenario {:?} has no warmup point to snapshot",
-                self.label
-            ))
-        })?;
-        self.validate_via()?;
-        let mut sim = self.instantiate(budget)?;
-        for &v in &self.warmup_via {
-            sim.try_run_until(SimTime::ZERO + v)?;
-        }
-        sim.try_run_until(SimTime::ZERO + w)?;
-        sim.snapshot()
-    }
-
     /// Runs *one* simulation through every chain point of this scenario
     /// (each `warmup_via` instant, then `warmup`), capturing a
     /// [`SimSnapshot`] at each stop — the trunk of a nested prefix tree.
@@ -372,12 +345,16 @@ impl Scenario {
     /// every shared prefix segment is simulated once.
     ///
     /// Returns the snapshots in chain order (`warmup_via.len() + 1`
-    /// entries; the last is the full-warm-up snapshot
-    /// [`Scenario::snapshot_prefix`] would produce).
+    /// entries; the last is the full warm-up snapshot, which every
+    /// scenario with an equal last [`crate::sweep::chain_keys`] key can
+    /// continue from via [`Scenario::run_forked`]).
     ///
     /// # Errors
     ///
-    /// Same conditions as [`Scenario::snapshot_prefix`].
+    /// Everything [`Scenario::run_with_budget`] reports, plus
+    /// [`SimError::InvalidConfig`] when the scenario has no warm-up point
+    /// and [`SimError::SnapshotUnsupported`] when the warmed-up state
+    /// cannot be captured (e.g. a closure-driven task).
     pub fn snapshot_prefix_chain(&self, budget: &RunBudget) -> Result<Vec<SimSnapshot>, SimError> {
         Ok(self
             .snapshot_prefix_chain_timed(budget)?
@@ -393,7 +370,7 @@ impl Scenario {
     ///
     /// # Errors
     ///
-    /// Same conditions as [`Scenario::snapshot_prefix`].
+    /// Same conditions as [`Scenario::snapshot_prefix_chain`].
     pub fn snapshot_prefix_chain_timed(
         &self,
         budget: &RunBudget,
@@ -426,8 +403,8 @@ impl Scenario {
     /// same bindings at the same instant and continues in the same state.
     ///
     /// The caller is responsible for passing a snapshot of *this
-    /// scenario's* prefix; the sweep planner guarantees it by grouping on
-    /// the serialized prefix scenario.
+    /// scenario's* prefix; the sweep planner guarantees it by matching
+    /// chain keys, which hash the serialized prefix scenario.
     ///
     /// # Errors
     ///
@@ -445,19 +422,6 @@ impl Scenario {
         self.run_to_stop(&mut sim)
     }
 
-    /// The scenario's shared prefix, normalized for keying: label cleared,
-    /// late bindings dropped, stop pinned to the warm-up deadline, the
-    /// checkpoint schedule kept (two runs that stop at different
-    /// intermediate instants are *not* in the same state at the warm-up
-    /// point — see [`Scenario::warmup_via`]). Two scenarios may share a
-    /// snapshot exactly when their prefix scenarios serialize
-    /// identically. `None` when the scenario has no warm-up point
-    /// (nothing to share).
-    pub fn prefix_scenario(&self) -> Option<Scenario> {
-        self.warmup?;
-        Some(self.prefix_scenario_at(self.warmup_via.len()))
-    }
-
     /// The full ladder of stop instants of this scenario's prefix: every
     /// `warmup_via` checkpoint followed by `warmup`. Empty when the
     /// scenario has no warm-up point.
@@ -470,13 +434,16 @@ impl Scenario {
         points
     }
 
-    /// The normalized prefix scenario truncated at chain level `level`
-    /// (`0..chain_points().len()`): it stops at `chain_points()[level]`
-    /// having traversed the checkpoints before it. Level
-    /// `warmup_via.len()` is the full prefix ([`Scenario::prefix_scenario`]);
-    /// lower levels are the ancestors a nested-prefix planner keys
-    /// snapshot-tree nodes by — a ladder member's level-`k` prefix equals
-    /// the full prefix of the member `k` rungs down.
+    /// The scenario's shared prefix truncated at chain level `level`
+    /// (`0..chain_points().len()`), normalized for keying: label cleared,
+    /// late bindings dropped, stop pinned to `chain_points()[level]`, and
+    /// the checkpoints before it kept (two runs that stop at different
+    /// intermediate instants are *not* in the same state at the warm-up
+    /// point — see [`Scenario::warmup_via`]). Level `warmup_via.len()` is
+    /// the full prefix; lower levels are the ancestors the planner keys
+    /// snapshot-tree nodes by ([`crate::sweep::chain_keys`]) — a ladder
+    /// member's level-`k` prefix equals the full prefix of the member `k`
+    /// rungs down.
     ///
     /// # Panics
     ///

@@ -1,7 +1,6 @@
 //! The discrete-event simulation driver wiring every substrate together.
 
 use crate::config::SystemConfig;
-use crate::options::SimOptions;
 use crate::result::{ResilienceStats, RunResult};
 use bl_governor::{ClusterSample, CpufreqGovernor, GovernorConfig};
 use bl_kernel::accounting::BusyWindow;
@@ -1713,17 +1712,6 @@ impl SimulationBuilder {
     /// simulation is built.
     pub fn budget(mut self, budget: RunBudget) -> Self {
         self.budget = budget;
-        self
-    }
-
-    /// Applies a [`SimOptions`] bundle: execution knobs (skip-ahead,
-    /// auditing, watchdog limit) fold into the configuration and the
-    /// budget limits (wall-clock deadline, event cap) arm a [`RunBudget`].
-    /// The same bundle drives the `repro` binary's command-line flags, so
-    /// a flag set and a builder chain cannot drift apart.
-    pub fn options(mut self, options: &SimOptions) -> Self {
-        options.apply_to(&mut self.config);
-        self.budget = options.budget();
         self
     }
 

@@ -43,18 +43,19 @@
 //!   state; corrupt, truncated or empty entries are detected, deleted and
 //!   recomputed (self-healing) instead of poisoning downstream results.
 //! * **Prefix sharing.** Scenarios carrying a warm-up split point (see
-//!   [`Scenario::warmup`]) whose prefixes serialize identically are
-//!   executed as a *fork group*: the shared prefix is simulated once,
-//!   captured as a [`crate::SimSnapshot`], and every member forks from it
-//!   instead of replaying the warm-up — bit-identical to the cold path
-//!   (each member would apply its late bindings at the same instant
-//!   either way). The prefix's identity ([`SnapshotSpec::key`]) is hashed
-//!   into every member's result key, so prefix-shared results never alias
-//!   non-shared ones in the cache or journal, and a group whose snapshot
-//!   cannot be built or forked degrades member by member to cold runs.
-//!   With a snapshot store, a trunk simulated for a group is published on
-//!   a scoped thread while the members fork, and joined before the group
-//!   returns.
+//!   [`Scenario::warmup`]) whose prefixes share a root are executed as a
+//!   *fork group*, planned as ladders of nested prefixes: each ladder's
+//!   trunk is simulated once, captured as a [`crate::SimSnapshot`] at
+//!   every rung, and every member forks from its own rung instead of
+//!   replaying the warm-up — bit-identical to the cold path (each member
+//!   would apply its late bindings at the same instant either way). The
+//!   prefix's identity (the last of its [`chain_keys`]) is hashed into
+//!   every member's result key, so prefix-shared results never alias
+//!   non-shared ones in the cache or journal, and a ladder whose
+//!   snapshots cannot be built or forked degrades member by member to
+//!   cold runs. With a snapshot store, a trunk simulated for a group is
+//!   published on a scoped thread while the members fork, and joined
+//!   before the group returns.
 //! * **Keys, once.** A batch's result keys, snapshot-chain keys and batch
 //!   key are derived together by [`KeyedBatch::new`]; every layer reads
 //!   them from there.
@@ -73,8 +74,7 @@ use bl_simcore::journal::{fnv1a, Journal};
 use bl_simcore::pool;
 use bl_simcore::rng::derive_seed;
 use bl_simcore::snapstore::{SnapEntry, SnapStore, SNAP_FORMAT_VERSION};
-use bl_simcore::time::SimDuration;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use serde_json::Value;
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
@@ -90,7 +90,7 @@ pub const DEFAULT_CACHE_DIR: &str = "results/.cache";
 /// The sweep journal directory the `bench` binary uses by default.
 pub const DEFAULT_JOURNAL_DIR: &str = "results/.sweep-journal";
 
-/// The persistent snapshot store directory the `bench` binary uses by
+/// The persistent snapshot store directory `repro serve` uses by
 /// default.
 pub const DEFAULT_SNAP_DIR: &str = "results/.snapshots";
 
@@ -266,17 +266,6 @@ impl SweepOptions {
     /// [`SweepOptions::prefix_share`], which is on by default).
     pub fn snap_stored(mut self, dir: impl Into<PathBuf>) -> Self {
         self.snap_store = Some(dir.into());
-        self
-    }
-
-    /// Folds a [`SimOptions`](crate::SimOptions) bundle into the sweep:
-    /// the audit override and per-scenario budgets come from the shared
-    /// struct, so front ends configure execution through one serializable
-    /// source of truth instead of mirroring each knob as a separate flag.
-    pub fn with_sim_options(mut self, sim: &crate::SimOptions) -> Self {
-        self.audit = sim.audit;
-        self.deadline = sim.deadline_ms.map(Duration::from_millis);
-        self.max_events = sim.max_events;
         self
     }
 
@@ -950,144 +939,63 @@ fn panic_detail(payload: &(dyn std::any::Any + Send)) -> String {
 
 // ---- prefix sharing --------------------------------------------------------
 
-/// The serializable identity of a shared warm-up prefix: which normalized
-/// prefix scenario is simulated, to which point, and — once the prefix
-/// has actually run — the captured state's digest. The pre-run half is
-/// what result keys hash in ([`SnapshotSpec::key`] is computable before
-/// any simulation, which caching, resume and sharding require); the
-/// fingerprint is recorded in journal `done` records for post-hoc
-/// divergence audits.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct SnapshotSpec {
-    /// The normalized prefix scenario (see [`Scenario::prefix_scenario`]).
-    pub prefix: Scenario,
-    /// The warm-up point the snapshot is taken at.
-    pub at: SimDuration,
-    /// The captured state's digest, once known
-    /// (see [`crate::SimSnapshot::fingerprint`]).
-    #[serde(default)]
-    pub fingerprint: Option<u64>,
-}
-
-impl SnapshotSpec {
-    /// The spec of `sc`'s shared prefix; `None` without a warm-up point.
-    pub fn of(sc: &Scenario) -> Option<SnapshotSpec> {
-        Some(SnapshotSpec {
-            prefix: sc.prefix_scenario()?,
-            at: sc.warmup?,
-            fingerprint: None,
+/// The keys of `sc`'s snapshot chain, root first: one per stop instant of
+/// [`Scenario::chain_points`], each a 16-hex-digit FNV-1a hash over the
+/// serialized prefix scenario truncated at that level
+/// ([`Scenario::prefix_scenario_at`]), the instant and the crate version.
+/// Empty without a warm-up point. Two scenarios may share the snapshot of
+/// a level exactly when their keys there are equal, so a chain extends
+/// another exactly when its keys do. The keys are computable before any
+/// prefix runs, which caching, resume and sharding require; a prefix is
+/// deterministic in its serialized form, so a snapshot's fingerprint is
+/// already a function of its key.
+pub fn chain_keys(sc: &Scenario) -> Vec<String> {
+    sc.chain_points()
+        .into_iter()
+        .enumerate()
+        .map(|(level, at)| {
+            let prefix = sc.prefix_scenario_at(level);
+            #[cfg(test)]
+            tests::count_serialization(&prefix, true);
+            let json =
+                serde_json::to_string(&prefix).expect("scenario serialization is infallible");
+            let mut data = json.into_bytes();
+            data.push(0);
+            data.extend_from_slice(&at.as_nanos().to_le_bytes());
+            data.push(0);
+            data.extend_from_slice(env!("CARGO_PKG_VERSION").as_bytes());
+            format!("{:016x}", fnv1a(&data))
         })
-    }
-
-    /// The spec of `sc`'s *root* prefix — chain level 0, the first stop
-    /// instant of [`Scenario::chain_points`]. For a plain warm-up scenario
-    /// (no `warmup_via`) this equals [`SnapshotSpec::of`]; for a ladder
-    /// member it identifies the snapshot-tree node every rung descends
-    /// from, which is what the planner groups by. `None` without a
-    /// warm-up point.
-    pub fn root_of(sc: &Scenario) -> Option<SnapshotSpec> {
-        let chain = sc.chain_points();
-        let &at = chain.first()?;
-        Some(SnapshotSpec {
-            prefix: sc.prefix_scenario_at(0),
-            at,
-            fingerprint: None,
-        })
-    }
-
-    /// One spec per chain level of `sc`'s prefix, root first — the full
-    /// path of snapshot-tree nodes the scenario's warm-up traverses.
-    /// Empty without a warm-up point. The last element equals
-    /// [`SnapshotSpec::of`].
-    pub fn chain_of(sc: &Scenario) -> Vec<SnapshotSpec> {
-        sc.chain_points()
-            .into_iter()
-            .enumerate()
-            .map(|(level, at)| SnapshotSpec {
-                prefix: sc.prefix_scenario_at(level),
-                at,
-                fingerprint: None,
-            })
-            .collect()
-    }
-
-    /// Stable 16-hex-digit key of the prefix: an FNV-1a hash over the
-    /// serialized prefix scenario, the split point and the crate version.
-    /// Two scenarios may share a snapshot exactly when their keys are
-    /// equal. The fingerprint deliberately does not enter: the key must be
-    /// computable before the prefix runs, and the prefix is deterministic
-    /// in its serialized form, so the fingerprint is already a function of
-    /// this key.
-    pub fn key(&self) -> String {
-        #[cfg(test)]
-        tests::count_serialization(&self.prefix, true);
-        let json =
-            serde_json::to_string(&self.prefix).expect("scenario serialization is infallible");
-        let mut data = json.into_bytes();
-        data.push(0);
-        data.extend_from_slice(&self.at.as_nanos().to_le_bytes());
-        data.push(0);
-        data.extend_from_slice(env!("CARGO_PKG_VERSION").as_bytes());
-        format!("{:016x}", fnv1a(&data))
-    }
+        .collect()
 }
 
-/// One schedulable piece of a sweep: a standalone scenario, or a fork
-/// group whose members share a warm-up prefix.
-enum Unit {
-    One(usize),
-    Group(Vec<usize>),
-}
-
-/// Partitions scenario indices into execution units. Scenarios whose
-/// *root* prefix keys (the first of [`KeyedBatch::chain`], which is
-/// [`SnapshotSpec::root_of`]'s key) are equal land in one fork group
-/// (submission order preserved within it); everything else — no warm-up
-/// point, prefix sharing disabled, or a prefix nobody shares — runs
-/// standalone. For plain warm-up scenarios the root key *is* the full
-/// prefix key, so flat grouping is unchanged; ladder members
-/// ([`Scenario::warmup_via`]) additionally join the group of their
-/// shallowest ancestor, and [`run_group`] decides whether the group forms
-/// a single nested chain or must degrade to per-leaf flat sharing.
-fn plan_units(indices: &[usize], batch: &KeyedBatch, opts: &SweepOptions) -> Vec<Unit> {
-    let mut units: Vec<Unit> = Vec::with_capacity(indices.len());
-    if !opts.prefix_share {
-        units.extend(indices.iter().map(|&i| Unit::One(i)));
-        return units;
-    }
+/// Partitions scenario indices into fork groups, submission order kept
+/// within each: scenarios whose chains share a root key
+/// ([`KeyedBatch::chain`]) form one group, and a scenario without a
+/// warm-up point — or any scenario when prefix sharing is off — is a
+/// group of one.
+fn plan_groups(indices: &[usize], batch: &KeyedBatch, opts: &SweepOptions) -> Vec<Vec<usize>> {
+    let mut groups: Vec<Vec<usize>> = Vec::with_capacity(indices.len());
     let mut group_at: HashMap<&str, usize> = HashMap::new();
     for &i in indices {
-        match batch.chain(i).first() {
-            Some(root) => match group_at.get(root.as_str()) {
-                Some(&u) => {
-                    let Unit::Group(members) = &mut units[u] else {
-                        unreachable!("group_at only points at Group units")
-                    };
-                    members.push(i);
+        let root = batch.chain(i).first().filter(|_| opts.prefix_share);
+        match root.and_then(|r| group_at.get(r.as_str())) {
+            Some(&g) => groups[g].push(i),
+            None => {
+                if let Some(r) = root {
+                    group_at.insert(r, groups.len());
                 }
-                None => {
-                    group_at.insert(root, units.len());
-                    units.push(Unit::Group(vec![i]));
-                }
-            },
-            None => units.push(Unit::One(i)),
-        }
-    }
-    // A prefix nobody shares gains nothing from the snapshot detour.
-    for u in units.iter_mut() {
-        if let Unit::Group(m) = u {
-            if m.len() == 1 {
-                *u = Unit::One(m[0]);
+                groups.push(vec![i]);
             }
         }
     }
-    units
+    groups
 }
 
 /// Executes a set of scenario indices — the shared engine behind the
 /// in-process sweep and a sharded worker's leased range. Returns one
-/// [`Supervised`] per index, in `indices` order; a unit-level panic (or a
-/// cancellation before start) lands in every member's slot as a typed
+/// [`Supervised`] per index, in `indices` order; a group-level panic (or
+/// a cancellation before start) lands in every member's slot as a typed
 /// error.
 pub(crate) fn execute_indices(
     indices: &[usize],
@@ -1095,23 +1003,15 @@ pub(crate) fn execute_indices(
     jobs: usize,
 ) -> Vec<Supervised> {
     let batch = env.batch;
-    let units = plan_units(indices, batch, env.opts);
-    let membership: Vec<Vec<usize>> = units
-        .iter()
-        .map(|u| match u {
-            Unit::One(i) => vec![*i],
-            Unit::Group(m) => m.clone(),
-        })
-        .collect();
+    let groups = plan_groups(indices, batch, env.opts);
     let fresh = CancelToken::new();
     let cancel = env.cancel.unwrap_or(&fresh);
-    let raw = pool::scoped_map_cancelable(units, jobs, cancel, |_, unit| match unit {
-        Unit::One(i) => vec![(i, run_one(i, env))],
-        Unit::Group(members) => run_group(&members, env),
+    let raw = pool::scoped_map_cancelable(groups.iter().collect(), jobs, cancel, |_, members| {
+        run_group(members, env)
     });
     let pos: HashMap<usize, usize> = indices.iter().enumerate().map(|(p, &i)| (i, p)).collect();
     let mut out: Vec<Option<Supervised>> = indices.iter().map(|_| None).collect();
-    for (slot, members) in raw.into_iter().zip(membership) {
+    for (slot, members) in raw.into_iter().zip(&groups) {
         match slot {
             Ok(pairs) => {
                 for (i, sup) in pairs {
@@ -1120,9 +1020,9 @@ pub(crate) fn execute_indices(
             }
             Err(detail) => {
                 // A panic escaped the supervisor itself (e.g. a cache I/O
-                // path) or the unit never started: every member gets the
+                // path) or the group never started: every member gets the
                 // error in its own slot.
-                for i in members {
+                for &i in members {
                     out[pos[&i]] = Some(Supervised::escaped(
                         i,
                         batch.scenarios[i].label.clone(),
@@ -1134,7 +1034,7 @@ pub(crate) fn execute_indices(
     }
     let out: Vec<Supervised> = out
         .into_iter()
-        .map(|s| s.expect("every index belongs to exactly one unit"))
+        .map(|s| s.expect("every index belongs to exactly one group"))
         .collect();
     let forks = out.iter().filter(|s| s.forked).count() as u64;
     if forks > 0 {
@@ -1143,124 +1043,70 @@ pub(crate) fn execute_indices(
     out
 }
 
-/// Executes one standalone scenario. Without a persistent store this is
-/// plain supervision; with one, a scenario carrying a warm-up point first
-/// tries to hydrate its trunk chain from the store (publishing a freshly
-/// built chain otherwise), so even singleton scenarios reuse trunks warmed
-/// by earlier invocations, sibling workers, or other hosts.
-fn run_one(i: usize, env: &ExecEnv<'_>) -> Supervised {
-    let batch = env.batch;
-    let (sc, key, chain) = (&batch.scenarios[i], &batch.keys[i], batch.chain(i));
-    let warm = env.store.is_some()
-        && !chain.is_empty()
-        && !env.resumed.contains_key(key)
-        && !cache_entry_present(env.opts, key);
-    if !warm {
-        return supervise(i, env, None);
-    }
-    let trunk = build_chain_snapshots(sc, chain, env);
-    let snap = trunk.as_ref().and_then(|t| t.snaps.last());
-    let unpublished = trunk
-        .as_ref()
-        .map_or_else(Vec::new, |t| t.unpublished(chain));
-    publishing(env, &unpublished, || supervise(i, env, snap))
-}
-
-/// Executes one fork group serially on the calling worker thread.
-/// Members already settled by the journal or cache skip the fork, and
-/// snapshots are only built at all when at least two members will
-/// actually simulate — below that a cold run is strictly cheaper.
-///
-/// The group shares a *root* prefix ([`SnapshotSpec::root_of`]); members'
-/// full chains ([`KeyedBatch::chain`]) may extend it to different depths.
-/// When every pending chain is a prefix of the deepest one — a *ladder* —
-/// the deepest member's prefix is simulated **once** with a snapshot
-/// captured at every rung ([`Scenario::snapshot_prefix_chain`]), and each
-/// member forks from its own depth: nested prefixes fork from forks of
-/// the same trunk, so each shared segment simulates exactly once. When
-/// chains genuinely branch, the group degrades to flat sharing per leaf
-/// prefix key — exactly the pre-tree behavior, one snapshot per set of
-/// identical full prefixes. Freshly simulated snapshots are published to
-/// the store while the members run ([`publishing`]).
+/// Executes one fork group serially on the calling worker thread, as
+/// ladders of nested prefixes. Members without a warm-up point, or
+/// already settled by the journal or cache, run without a snapshot. The
+/// pending rest are taken deepest chain first, and each joins the first
+/// ladder whose trunk chain starts with its own, or else starts a new one
+/// as that ladder's trunk. A ladder with two or more members, or any
+/// ladder when a store is open, is built once ([`build_chain_snapshots`]):
+/// its trunk's whole chain hydrated from the store, or one trunk
+/// simulation that snapshots every rung. Below that a cold run is
+/// strictly cheaper. Each member forks from the rung at its own depth —
+/// nested prefixes fork from the same trunk, so each shared segment of a
+/// ladder simulates once — and runs cold when its ladder was not built.
+/// Rungs simulated here are published to the store while the members run
+/// ([`publishing`]).
 fn run_group(members: &[usize], env: &ExecEnv<'_>) -> Vec<(usize, Supervised)> {
     let batch = env.batch;
-    let (effective, keys) = (&batch.scenarios, &batch.keys);
-    let pending: Vec<usize> = members
+    let mut pending: Vec<usize> = members
         .iter()
         .copied()
         .filter(|&i| {
-            !env.resumed.contains_key(&keys[i]) && !cache_entry_present(env.opts, &keys[i])
+            let key = &batch.keys[i];
+            !batch.chain(i).is_empty()
+                && !env.resumed.contains_key(key)
+                && !cache_entry_present(env.opts, key)
         })
         .collect();
-    if pending.len() < 2 {
-        return members
-            .iter()
-            .map(|&i| (i, supervise(i, env, None)))
-            .collect();
-    }
-
-    // Chain keys name each rung's prefix and instant, so within one root
-    // group a chain extends another exactly when its keys do.
-    let trunk = *pending
-        .iter()
-        .max_by_key(|&&i| batch.chain(i).len())
-        .expect("pending is non-empty");
-    let ladder = pending
-        .iter()
-        .all(|&i| batch.chain(trunk).starts_with(batch.chain(i)));
-
-    if ladder {
-        // One trunk simulation, one snapshot per rung; member i resumes
-        // from the rung its own warm-up point sits on. A missing rung
-        // (build failed) degrades that member to a cold run inside
-        // `supervise`, with full retry semantics.
-        let built = build_chain_snapshots(&effective[trunk], batch.chain(trunk), env);
-        let unpublished = built
-            .as_ref()
-            .map_or_else(Vec::new, |t| t.unpublished(batch.chain(trunk)));
-        return publishing(env, &unpublished, || {
-            members
-                .iter()
-                .map(|&i| {
-                    let snap = pending
-                        .contains(&i)
-                        .then(|| built.as_ref()?.snaps.get(batch.chain(i).len() - 1))
-                        .flatten();
-                    (i, supervise(i, env, snap))
-                })
-                .collect()
-        });
-    }
-
-    // Branching chains: fall back to one flat snapshot per leaf prefix,
-    // built from the first pending member of each leaf with sharers.
-    let mut leaf_members: HashMap<&String, Vec<usize>> = HashMap::new();
-    for &i in &pending {
-        if let Some(leaf) = batch.chain(i).last() {
-            leaf_members.entry(leaf).or_default().push(i);
+    // Stable, so equally deep members keep submission order.
+    pending.sort_by_key(|&i| std::cmp::Reverse(batch.chain(i).len()));
+    let mut ladders: Vec<Vec<usize>> = Vec::new();
+    for i in pending {
+        let chain = batch.chain(i);
+        match ladders
+            .iter_mut()
+            .find(|ladder| batch.chain(ladder[0]).starts_with(chain))
+        {
+            Some(ladder) => ladder.push(i),
+            None => ladders.push(vec![i]),
         }
     }
-    let leaf_snaps: HashMap<&String, Trunk> = leaf_members
+    let built: Vec<Option<Trunk>> = ladders
         .iter()
-        .filter(|(_, m)| m.len() >= 2)
-        .filter_map(|(&k, m)| Some((k, build_group_snapshot(&effective[m[0]], k, env)?)))
+        .map(|ladder| {
+            (ladder.len() >= 2 || env.store.is_some())
+                .then(|| build_chain_snapshots(ladder[0], env))
+                .flatten()
+        })
         .collect();
-    let unpublished: Vec<(&str, &SimSnapshot, f64)> = leaf_snaps
+    // The ladders of a group share their root prefix's workloads, so one
+    // rung that cannot serialize means none can, and the publisher may
+    // stop at the first.
+    let unpublished: Vec<(&str, &SimSnapshot, f64)> = ladders
         .iter()
-        .flat_map(|(&k, t)| t.unpublished(std::slice::from_ref(k)))
+        .zip(&built)
+        .filter_map(|(ladder, trunk)| Some(trunk.as_ref()?.unpublished(batch.chain(ladder[0]))))
+        .flatten()
         .collect();
+    let rung = |i: usize| -> Option<&SimSnapshot> {
+        let l = ladders.iter().position(|ladder| ladder.contains(&i))?;
+        built[l].as_ref()?.snaps.get(batch.chain(i).len() - 1)
+    };
     publishing(env, &unpublished, || {
         members
             .iter()
-            .map(|&i| {
-                let snap = pending
-                    .contains(&i)
-                    .then(|| batch.chain(i).last())
-                    .flatten()
-                    .and_then(|k| leaf_snaps.get(k))
-                    .map(|t| &t.snaps[0]);
-                (i, supervise(i, env, snap))
-            })
+            .map(|&i| (i, supervise(i, env, rung(i))))
             .collect()
     })
 }
@@ -1305,61 +1151,18 @@ impl Trunk {
     }
 }
 
-/// Simulates a fork group's shared prefix (whose key is `key`) and
-/// captures it — after first offering the persistent store a chance to
-/// hydrate the warmed state instead. Any build failure — typed error or
-/// panic — degrades the whole group to cold runs (`None`); per-member
-/// supervision then reports whatever is actually wrong with full
-/// retry/quarantine semantics.
-fn build_group_snapshot(sc: &Scenario, key: &str, env: &ExecEnv<'_>) -> Option<Trunk> {
-    if let Some(store) = env.store {
-        if let Some(entry) = store.load(key) {
-            match hydrate_entry(sc, &entry) {
-                Some(snap) => {
-                    let mut tally = env.snap.lock().expect("snapshot tally poisoned");
-                    tally.hydrated += 1;
-                    tally.trunk_ms_saved += entry.warm_ms;
-                    return Some(Trunk {
-                        snaps: vec![snap],
-                        built_ms: None,
-                    });
-                }
-                // Checksummed bytes whose hydrated state still fails the
-                // fingerprint are never trusted: drop and rebuild.
-                None => store.invalidate(key),
-            }
-        }
-    }
-    let mut budget = env.opts.budget();
-    if let Some(token) = env.cancel {
-        budget = budget.cancelled_by(token.clone());
-    }
-    let started = Instant::now();
-    let snap =
-        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| sc.snapshot_prefix(&budget)))
-            .ok()?
-            .ok()?;
-    let warm_ms = started.elapsed().as_secs_f64() * 1e3;
-    env.snap.lock().expect("snapshot tally poisoned").trunk_runs += 1;
-    Some(Trunk {
-        snaps: vec![snap],
-        built_ms: Some(vec![warm_ms]),
-    })
-}
-
-/// Simulates a ladder group's trunk — the deepest member's prefix, whose
-/// rung keys are `keys` — once, capturing a snapshot at every chain rung
+/// Simulates a ladder's trunk — the prefix of batch scenario `trunk`, its
+/// deepest member — once, capturing a snapshot at every chain rung
 /// ([`Scenario::snapshot_prefix_chain`]) — unless the persistent store can
 /// hydrate the *whole* chain, in which case no trunk simulation happens at
 /// all. Hydration is all-or-rebuild: one missing, corrupt or
 /// fingerprint-mismatched rung rebuilds (and republishes) the full chain,
-/// so forks never mix rungs from different trunk executions. Same
-/// degradation contract as [`build_group_snapshot`]: any build failure
-/// returns `None` and the whole group runs cold.
-fn build_chain_snapshots(sc: &Scenario, keys: &[String], env: &ExecEnv<'_>) -> Option<Trunk> {
-    if keys.is_empty() {
-        return None;
-    }
+/// so forks never mix rungs from different trunk executions. Any build
+/// failure — typed error or panic — returns `None` and the whole ladder
+/// runs cold; per-member supervision then reports whatever is actually
+/// wrong with full retry/quarantine semantics.
+fn build_chain_snapshots(trunk: usize, env: &ExecEnv<'_>) -> Option<Trunk> {
+    let (sc, keys) = (&env.batch.scenarios[trunk], env.batch.chain(trunk));
     if let Some(store) = env.store {
         if let Some((snaps, saved_ms)) = hydrate_chain(sc, keys, store) {
             let mut tally = env.snap.lock().expect("snapshot tally poisoned");
@@ -1545,14 +1348,13 @@ pub fn cache_key(sc: &Scenario) -> String {
 /// feature set, so results computed under different supervision features
 /// (today: the audit override) never alias in the cache, plus — for
 /// scenarios with a warm-up split point — the identity of the shared
-/// prefix ([`SnapshotSpec::key`]), tying every such result to the exact
-/// prefix a fork group would share. Options that cannot change simulated
+/// prefix (the last of its [`chain_keys`]), tying every such result to the
+/// exact prefix a fork would share. Options that cannot change simulated
 /// results — jobs, deadlines, retries, journaling, and notably
 /// [`SweepOptions::prefix_share`] itself (forked and cold runs are
 /// bit-identical) — deliberately do *not* enter the key.
 pub fn cache_key_with(sc: &Scenario, opts: &SweepOptions) -> String {
-    let prefix = SnapshotSpec::of(sc).map(|spec| spec.key());
-    result_key(sc, opts, prefix.as_deref())
+    result_key(sc, opts, chain_keys(sc).last().map(String::as_str))
 }
 
 /// [`cache_key_with`] of `sc`, given its prefix key (the last of its
@@ -1592,7 +1394,7 @@ pub fn batch_key_for(scenarios: &[Scenario], opts: &SweepOptions) -> String {
 /// A batch keyed once: each scenario in the form the engine runs it
 /// (batch-level option overrides folded in), its result key
 /// ([`cache_key_with`]), the keys of its snapshot chain
-/// ([`SnapshotSpec::chain_of`], root first) and the batch key naming its
+/// ([`chain_keys`], root first) and the batch key naming its
 /// journal ([`batch_key`]). The planner, the snapshot store, the journal
 /// and the shard fleet all read their keys from it, so keying serializes
 /// each scenario and each chain prefix once. Long-lived front ends (the
@@ -1624,15 +1426,7 @@ impl KeyedBatch {
             .iter()
             .map(|sc| effective_scenario(sc, opts))
             .collect();
-        let chains: Vec<Vec<String>> = scenarios
-            .iter()
-            .map(|sc| {
-                SnapshotSpec::chain_of(sc)
-                    .iter()
-                    .map(SnapshotSpec::key)
-                    .collect()
-            })
-            .collect();
+        let chains: Vec<Vec<String>> = scenarios.iter().map(chain_keys).collect();
         let keys: Vec<String> = scenarios
             .iter()
             .zip(&chains)
@@ -2296,10 +2090,7 @@ mod tests {
                 assert_eq!(effective.config.audit, opts.audit, "#{i}");
                 assert_eq!(effective.label, sc.label);
                 assert_eq!(keyed.keys()[i], cache_key_with(effective, opts), "#{i}");
-                let chain: Vec<String> = SnapshotSpec::chain_of(effective)
-                    .iter()
-                    .map(SnapshotSpec::key)
-                    .collect();
+                let chain = chain_keys(effective);
                 assert_eq!(keyed.chain(i), chain, "#{i}");
                 assert_eq!(chain.len(), sc.chain_points().len(), "#{i}");
             }
@@ -2345,8 +2136,8 @@ mod tests {
     #[test]
     fn the_store_holds_every_published_rung_when_the_sweep_returns() {
         let dir = temp_dir("publisher");
-        // A ladder group, a branching group and a singleton, so every
-        // path that publishes a trunk runs.
+        // A group of one ladder, a group whose chains branch into two
+        // ladders, and a group of one scenario.
         let mut batch = two_by_two(61);
         batch.extend([
             rung("branch-a", 62, &[100], 200, 0),
@@ -2372,14 +2163,15 @@ mod tests {
         let opts = SweepOptions::with_jobs(2).snap_stored(&store);
         let out = run_with(&batch, &opts);
         assert_eq!(result_bytes(&out), reference);
-        // Ladder 2 rungs, two branch leaves, the singleton's 2 rungs.
-        assert_eq!(out.stats.snapshot.published, 6);
+        // Two rungs per ladder; both branches publish their shared root.
+        assert_eq!(out.stats.snapshot.published, 8);
         let keyed = KeyedBatch::new(&batch, &opts);
         for i in [0, 2, 3, 5, 7, 8] {
-            for key in keyed.chain(i).iter().skip(usize::from(i == 5 || i == 7)) {
+            for key in keyed.chain(i) {
                 assert!(store.join(format!("{key}.snap")).is_file(), "#{i} {key}");
             }
         }
+        assert_eq!(std::fs::read_dir(&store).unwrap().count(), 7);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -1,12 +1,12 @@
 //! Persistent content-addressed snapshot store.
 //!
 //! A warmed simulation prefix is expensive to build and cheap to describe:
-//! its identity is the `SnapshotSpec` key (an FNV over the serialized
-//! prefix scenario, the warm-up instant and the crate version) that the
-//! sweep planner already uses to group fork candidates. This module gives
-//! that key a durable home so *any* process — a later `repro` invocation,
-//! a sharded worker, another host sharing the results directory — can
-//! hydrate the warmed state instead of re-simulating it.
+//! its identity is its chain key (`biglittle::sweep::chain_keys`: an FNV
+//! over the serialized prefix scenario, the snapshot instant and the crate
+//! version) that the sweep planner already uses to match fork candidates.
+//! This module gives that key a durable home so *any* process — a later
+//! sweep or served run, a sharded worker, another host sharing the store
+//! directory — can hydrate the warmed state instead of re-simulating it.
 //!
 //! The store is deliberately ignorant of what a snapshot *is*: it moves
 //! opaque [`serde::Value`] payloads plus a little metadata. The simulation
@@ -62,7 +62,7 @@ pub const DEFAULT_MEMORY_CAPACITY: usize = 16;
 pub struct SnapEntry {
     /// Format version; entries from other versions are treated as corrupt.
     pub version: u32,
-    /// The `SnapshotSpec` key this entry was published under. Stored
+    /// The chain key this entry was published under. Stored
     /// redundantly with the filename so a renamed/copied file cannot
     /// impersonate another prefix.
     pub key: String,
@@ -193,15 +193,6 @@ impl SnapStore {
     pub fn invalidate(&self, key: &str) {
         self.lru.lock().unwrap().retain(|e| e.key != key);
         let _ = fs::remove_file(self.path_for(key));
-    }
-
-    /// Removes every snapshot (and temp debris) from the store; returns
-    /// how many files were deleted.
-    pub fn clear(&self) -> usize {
-        self.lru.lock().unwrap().clear();
-        durable::remove_stale(&self.dir, Duration::ZERO, |name| {
-            name.ends_with(".snap") || name.ends_with(".tmp")
-        })
     }
 
     /// Snapshot of the handle's outcome counters.
@@ -367,16 +358,6 @@ mod tests {
         assert!(store.lru.lock().unwrap().len() <= 2);
         // Evicted entries still load from disk.
         assert!(store.load("0000000000000000").is_some());
-    }
-
-    #[test]
-    fn clear_removes_everything() {
-        let store = temp_store("clear");
-        store.publish(&entry("0000000000000001", 1)).unwrap();
-        store.publish(&entry("0000000000000002", 2)).unwrap();
-        fs::write(store.dir().join("leftover.tmp"), b"x").unwrap();
-        assert_eq!(store.clear(), 3);
-        assert_eq!(store.load("0000000000000001"), None);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! skip-ahead modes — and a prefix-shared sweep must equal a cold sweep
 //! byte for byte, through the result cache and the journal.
 
-use biglittle::{sweep, LateBindings, Scenario, StopWhen, SweepOptions, SystemConfig};
+use biglittle::{sweep, LateBindings, Scenario, SimSnapshot, StopWhen, SweepOptions, SystemConfig};
 use bl_governor::GovernorConfig;
 use bl_simcore::budget::RunBudget;
 use bl_simcore::fault::{FaultKind, FaultPlan};
@@ -84,12 +84,17 @@ fn late_variant(idx: usize) -> LateBindings {
     }
 }
 
+/// The snapshot at `sc`'s warm-up point: the last rung of its chain.
+fn warm_snapshot(sc: &Scenario, budget: &RunBudget) -> SimSnapshot {
+    sc.snapshot_prefix_chain(budget).unwrap().pop().unwrap()
+}
+
 #[test]
 fn forked_run_is_bit_identical_to_cold_run() {
     let sc = grid_point("fork-basic", 11, true, false, late_variant(1));
     let budget = RunBudget::unlimited();
     let cold = sc.run_with_budget(&budget).unwrap();
-    let snap = sc.snapshot_prefix(&budget).unwrap();
+    let snap = warm_snapshot(&sc, &budget);
     let forked = sc.run_forked(&snap, &budget).unwrap();
     assert_eq!(cold, forked);
     // The snapshot is reusable: forking it again must not observe any
@@ -101,8 +106,8 @@ fn forked_run_is_bit_identical_to_cold_run() {
 #[test]
 fn snapshot_fingerprint_is_deterministic() {
     let sc = grid_point("fp", 3, true, true, late_variant(0));
-    let a = sc.snapshot_prefix(&RunBudget::unlimited()).unwrap();
-    let b = sc.snapshot_prefix(&RunBudget::unlimited()).unwrap();
+    let a = warm_snapshot(&sc, &RunBudget::unlimited());
+    let b = warm_snapshot(&sc, &RunBudget::unlimited());
     assert_eq!(a.fingerprint(), b.fingerprint());
 }
 
@@ -111,7 +116,7 @@ fn prefix_specs_group_by_shared_prefix() {
     let a = grid_point("a", 5, true, false, late_variant(0));
     let b = grid_point("b", 5, true, false, late_variant(2));
     let c = grid_point("c", 6, true, false, late_variant(0));
-    let key = |sc: &Scenario| sweep::SnapshotSpec::of(sc).unwrap().key();
+    let key = |sc: &Scenario| sweep::chain_keys(sc).pop().unwrap();
     assert_eq!(key(&a), key(&b), "late bindings must not split a group");
     assert_ne!(key(&a), key(&c), "a different prefix must not share");
     let plain = Scenario::app(
@@ -120,7 +125,7 @@ fn prefix_specs_group_by_shared_prefix() {
         SystemConfig::baseline(),
     );
     assert!(
-        sweep::SnapshotSpec::of(&plain).is_none(),
+        sweep::chain_keys(&plain).is_empty(),
         "no warm-up point, nothing to share"
     );
 }
@@ -204,8 +209,8 @@ fn ladder_members_share_a_root_but_not_a_leaf() {
     let a = ladder_point("a", 5, 0, late_variant(0));
     let b = ladder_point("b", 5, 1, late_variant(1));
     let c = ladder_point("c", 5, 2, late_variant(2));
-    let root = |sc: &Scenario| sweep::SnapshotSpec::root_of(sc).unwrap().key();
-    let leaf = |sc: &Scenario| sweep::SnapshotSpec::of(sc).unwrap().key();
+    let root = |sc: &Scenario| sweep::chain_keys(sc).remove(0);
+    let leaf = |sc: &Scenario| sweep::chain_keys(sc).pop().unwrap();
     assert_eq!(root(&a), root(&b), "every rung descends from the root");
     assert_eq!(root(&b), root(&c));
     assert_ne!(
@@ -215,7 +220,7 @@ fn ladder_members_share_a_root_but_not_a_leaf() {
     );
     assert_ne!(leaf(&b), leaf(&c));
     assert_eq!(
-        sweep::SnapshotSpec::chain_of(&c).len(),
+        sweep::chain_keys(&c).len(),
         3,
         "the deepest member sees the whole chain"
     );
@@ -323,7 +328,7 @@ fn nested_ladder_sweep_equals_cold_sweep_through_cache_and_journal() {
 #[test]
 fn branching_chains_degrade_to_flat_leaf_sharing() {
     // Two pairs that agree on the root rung but branch at the second:
-    // the group cannot ladder, so each leaf pair shares flat.
+    // the group builds one ladder per branch, so each leaf pair shares.
     let mk = |label: &str, second_ms: u64, late: usize| {
         grid_point(label, 17, true, false, late_variant(late))
             .with_warmup(SimDuration::from_millis(650))
@@ -367,7 +372,7 @@ proptest! {
         let sc = grid_point("prop", seed, skip_ahead, prefix_faults, late_variant(late_idx));
         let budget = RunBudget::unlimited();
         let cold = sc.run_with_budget(&budget).unwrap();
-        let snap = sc.snapshot_prefix(&budget).unwrap();
+        let snap = warm_snapshot(&sc, &budget);
         let forked = sc.run_forked(&snap, &budget).unwrap();
         prop_assert_eq!(cold, forked);
     }

@@ -83,11 +83,16 @@ fn round_trip(sc: &Scenario, snap: &SimSnapshot) -> SimSnapshot {
         .expect("payload hydrates")
 }
 
+/// The snapshot at `sc`'s warm-up point: the last rung of its chain.
+fn warm_snapshot(sc: &Scenario, budget: &RunBudget) -> SimSnapshot {
+    sc.snapshot_prefix_chain(budget).unwrap().pop().unwrap()
+}
+
 #[test]
 fn payload_round_trip_preserves_fingerprint_and_forks() {
     let sc = grid_point("rt", 11, true, true, late_variant(1));
     let budget = RunBudget::unlimited();
-    let snap = sc.snapshot_prefix(&budget).unwrap();
+    let snap = warm_snapshot(&sc, &budget);
     let hydrated = round_trip(&sc, &snap);
     assert_eq!(snap.fingerprint(), hydrated.fingerprint());
     let cold = sc.run_with_budget(&budget).unwrap();
@@ -100,7 +105,7 @@ fn payload_round_trip_preserves_fingerprint_and_forks() {
 #[test]
 fn fingerprint_mismatch_rejects_the_payload() {
     let sc = grid_point("fp-gate", 5, true, false, late_variant(0));
-    let snap = sc.snapshot_prefix(&RunBudget::unlimited()).unwrap();
+    let snap = warm_snapshot(&sc, &RunBudget::unlimited());
     let payload = snap.to_payload().unwrap();
     let err = SimSnapshot::from_payload(&sc.platform.build(), &payload, snap.fingerprint() ^ 1);
     assert!(err.is_err(), "a wrong fingerprint must never hydrate");
@@ -116,7 +121,7 @@ const GOLDEN_FINGERPRINT: u64 = 17027290288844323559;
 #[test]
 fn golden_fingerprint_regression() {
     let sc = grid_point("golden", 42, true, false, late_variant(0));
-    let snap = sc.snapshot_prefix(&RunBudget::unlimited()).unwrap();
+    let snap = warm_snapshot(&sc, &RunBudget::unlimited());
     assert_eq!(
         snap.fingerprint(),
         GOLDEN_FINGERPRINT,
@@ -135,7 +140,7 @@ const GOLDEN_PAYLOAD_DIGEST: u64 = 0xdce1_fca5_7875_210e;
 #[test]
 fn golden_payload_digest() {
     let sc = grid_point("golden", 42, true, false, late_variant(0));
-    let snap = sc.snapshot_prefix(&RunBudget::unlimited()).unwrap();
+    let snap = warm_snapshot(&sc, &RunBudget::unlimited());
     let json = serde_json::to_string(&snap.to_payload().unwrap()).unwrap();
     assert_eq!(
         fnv1a(json.as_bytes()),
@@ -265,6 +270,34 @@ fn singleton_scenarios_hydrate_from_the_store_too() {
 }
 
 #[test]
+fn a_lone_pending_member_of_a_ladder_hydrates_its_whole_chain() {
+    // A ladder published with the cache on, then one member's cache entry
+    // deleted: that member is the only one of its group left to simulate,
+    // and a warm store spares it the warm-up replay.
+    let scenarios = ladder_batch(31);
+    let dir = temp_dir("lone");
+    let opts = SweepOptions::serial()
+        .cached(dir.join("cache"))
+        .snap_stored(dir.join("snapshots"));
+    let cold = sweep::run_with(&scenarios, &SweepOptions::serial().prefix_sharing(false));
+    let first = sweep::run_with(&scenarios, &opts);
+    assert_eq!(first.stats.snapshot.published, LADDER_MS.len() as u64);
+
+    let lone = 1;
+    let key = sweep::cache_key_with(&scenarios[lone], &opts);
+    std::fs::remove_file(dir.join("cache").join(format!("{key}.json"))).unwrap();
+    let rerun = sweep::run_with(&scenarios, &opts);
+    assert_eq!(rerun.stats.cache_hits, scenarios.len() as u64 - 1);
+    let chain_len = scenarios[lone].chain_points().len() as u64;
+    assert_eq!(rerun.stats.snapshot.hydrated, chain_len);
+    assert_eq!(rerun.stats.snapshot.trunk_runs, 0);
+    assert_eq!(rerun.stats.snapshot.forks, 1);
+    assert!(rerun.stats.per_scenario[lone].forked);
+    assert_eq!(result_bytes(&cold), result_bytes(&rerun));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn corrupt_store_entries_self_heal_and_rebuild() {
     let scenarios = ladder_batch(17);
     let dir = temp_dir("corrupt");
@@ -324,7 +357,7 @@ proptest! {
         let sc = grid_point("prop", seed, skip_ahead, prefix_faults, late_variant(late_idx));
         let budget = RunBudget::unlimited();
         let cold = sc.run_with_budget(&budget).unwrap();
-        let snap = sc.snapshot_prefix(&budget).unwrap();
+        let snap = warm_snapshot(&sc, &budget);
         let hydrated = round_trip(&sc, &snap);
         let forked = sc.run_forked(&hydrated, &budget).unwrap();
         prop_assert_eq!(cold, forked);
