@@ -15,7 +15,7 @@ use bl_power::{CpuidleTable, PowerMeter, PowerModel, ThermalBank, ThermalParams}
 use bl_simcore::audit::InvariantGuard;
 use bl_simcore::budget::{ArmedBudget, RunBudget};
 use bl_simcore::error::SimError;
-use bl_simcore::event::{EventQueue, QueueEntry};
+use bl_simcore::event::EventQueue;
 use bl_simcore::fault::{FaultEvent, FaultKind, FaultPlan};
 use bl_simcore::journal::fnv1a;
 use bl_simcore::rng::{RngState, SimRng};
@@ -232,7 +232,6 @@ pub struct Simulation {
     audit: Option<InvariantGuard>,
     resilience: ResilienceStats,
     // Reusable scratch buffers: the hot loop never allocates once warm.
-    skip_stash: Vec<QueueEntry<Ev>>,
     gov_fired: Vec<Option<SimTime>>,
     activity_scratch: Vec<f64>,
     leak_scratch: Vec<f64>,
@@ -370,7 +369,6 @@ impl Simulation {
             events_total: 0,
             audit,
             resilience,
-            skip_stash: Vec::new(),
             gov_fired: vec![None; n_clusters],
             activity_scratch: Vec::with_capacity(n_cpus),
             leak_scratch: Vec::with_capacity(n_cpus),
@@ -648,43 +646,34 @@ impl Simulation {
         Ok(())
     }
 
-    /// When every CPU is idle, elides the leading run of provably-inert
-    /// periodic events and replays their re-arming in closed form, so the
-    /// next [`Simulation::try_step`] jumps straight to the first event that
-    /// can actually change the machine.
+    /// When every CPU is idle, fires *virtually* every provably-inert
+    /// periodic event due before the first event that can actually change
+    /// the machine: each is popped and re-armed in place, and their effect
+    /// is booked in closed form, so the next [`Simulation::try_step`] jumps
+    /// straight to that event.
     ///
-    /// The replay fires the elided chains virtually in exactly the
-    /// `(time, seq)` order the ticked loop would pop them, assigning each
-    /// re-arm a fresh sequence number just like a real firing — so the
-    /// queue's future pop order, and therefore the whole run, stays
-    /// bit-identical to `skip_ahead = false` (see DESIGN.md, timing model).
+    /// The virtual firings pop in exactly the `(time, seq)` order the
+    /// ticked loop would pop them, and each re-arm takes a fresh sequence
+    /// number just like a real firing — so the queue's future pop order,
+    /// and therefore the whole run, stays bit-identical to
+    /// `skip_ahead = false` (see DESIGN.md, timing model).
     fn idle_skip_ahead(&mut self, deadline: SimTime) {
-        // Peel every leading elidable event off the queue.
-        let mut stash = std::mem::take(&mut self.skip_stash);
-        loop {
-            let elidable = match self.queue.peek() {
-                Some((_, _, ev)) => self.event_is_skippable(ev),
-                None => false,
-            };
-            if !elidable {
-                break;
-            }
-            stash.push(self.queue.pop_entry().expect("peeked entry"));
-        }
-        if stash.is_empty() {
-            self.skip_stash = stash;
-            return;
+        match self.queue.peek() {
+            Some((_, _, ev)) if self.event_is_skippable(ev) => {}
+            _ => return,
         }
         // Nothing before the first real event (or the caller's deadline)
-        // can change machine state.
-        let horizon = self.queue.peek_time().unwrap_or(SimTime::MAX).min(deadline);
+        // can change machine state. An inert event tied with it stays
+        // queued, to fire for real in its turn.
+        let mut horizon = deadline;
+        for (t, _, ev) in self.queue.iter() {
+            if t < horizon && !self.event_is_skippable(ev) {
+                horizon = t;
+            }
+        }
         if horizon == SimTime::MAX {
             // Unbounded run over an otherwise empty queue: no target to
             // skip toward, so keep ticking (matches the non-skip path).
-            for e in stash.drain(..) {
-                self.queue.restore(e);
-            }
-            self.skip_stash = stash;
             return;
         }
 
@@ -693,18 +682,11 @@ impl Simulation {
         let mut gov_fired = std::mem::take(&mut self.gov_fired);
         gov_fired.clear();
         gov_fired.resize(self.platform.topology.n_clusters(), None);
-        loop {
-            let mut best: Option<usize> = None;
-            for (i, e) in stash.iter().enumerate() {
-                if e.time() < horizon
-                    && best.is_none_or(|b| (e.time(), e.seq()) < (stash[b].time(), stash[b].seq()))
-                {
-                    best = Some(i);
-                }
-            }
-            let Some(i) = best else { break };
-            let t = stash[i].time();
-            let period = match stash[i].event() {
+        // Every entry earlier than the horizon is inert, since each event
+        // that is not has its time at or past it.
+        while self.queue.peek_time().is_some_and(|t| t < horizon) {
+            let (t, ev) = self.queue.pop().expect("peeked event");
+            let period = match ev {
                 Ev::Tick => self.kernel.tick_period(),
                 Ev::MetricSample => {
                     metric_fires += 1;
@@ -717,12 +699,8 @@ impl Simulation {
                 }
                 _ => unreachable!("only periodic self-rearming events are elided"),
             };
-            self.queue.reschedule_entry(&mut stash[i], t + period);
+            self.queue.schedule(t + period, ev);
         }
-        for e in stash.drain(..) {
-            self.queue.restore(e);
-        }
-        self.skip_stash = stash;
 
         // Closed-form bookkeeping for what the elided firings would have
         // done: all the idle samples in one addition, and each governor
@@ -1247,12 +1225,6 @@ impl Simulation {
         &self.cfg
     }
 
-    /// Current junction temperature of `cluster` in °C, when the thermal
-    /// model is enabled.
-    pub fn cluster_temp_c(&self, cluster: ClusterId) -> Option<f64> {
-        self.thermal.as_ref().map(|rt| rt.nodes.temp_c(cluster.0))
-    }
-
     /// Whether `cluster` is currently thermally throttled.
     pub fn is_throttled(&self, cluster: ClusterId) -> bool {
         self.thermal
@@ -1440,7 +1412,6 @@ impl Simulation {
             events_total: saved.events_total,
             audit: saved.audit.clone(),
             resilience: saved.resilience.clone(),
-            skip_stash: Vec::new(),
             gov_fired: vec![None; n_clusters],
             activity_scratch: Vec::with_capacity(n_cpus),
             leak_scratch: Vec::with_capacity(n_cpus),

@@ -890,7 +890,7 @@ fn run_attempt(
                 label: sc.label.clone(),
                 // `as_ref()`, not `&payload`: `&Box<dyn Any>` would itself
                 // coerce to `&dyn Any` and hide the payload from downcasts.
-                detail: panic_detail(payload.as_ref()),
+                detail: pool::panic_message(payload.as_ref()),
             })
         })
     };
@@ -925,16 +925,6 @@ fn is_retryable(e: &SimError) -> bool {
             | SimError::EventBudgetExhausted { .. }
             | SimError::InvariantViolated { .. }
     )
-}
-
-fn panic_detail(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
 }
 
 // ---- prefix sharing --------------------------------------------------------

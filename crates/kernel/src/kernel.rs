@@ -55,11 +55,6 @@ impl<'a> Hw<'a> {
         self.state.is_online(cpu)
     }
 
-    /// Online CPUs of a kind.
-    pub fn online_of_kind(&self, kind: CoreKind) -> Vec<CpuId> {
-        self.iter_online_of_kind(kind).collect()
-    }
-
     /// Online CPUs of a kind, without allocating.
     pub fn iter_online_of_kind(&self, kind: CoreKind) -> impl Iterator<Item = CpuId> + '_ {
         self.platform
@@ -921,15 +916,6 @@ impl Kernel {
         self.tasks[tid.0].cpu_time
     }
 
-    /// CPU time a task has consumed on each core kind.
-    pub fn task_cpu_time_on(&self, tid: TaskId, kind: CoreKind) -> SimDuration {
-        let idx = match kind {
-            CoreKind::Little => 0,
-            CoreKind::Big => 1,
-        };
-        self.tasks[tid.0].cpu_time_by_kind[idx]
-    }
-
     /// Per-task summary rows: (name, total CPU time, little time, big time,
     /// current load), in spawn order — the thread-level breakdown behind
     /// the paper's per-app numbers.
@@ -946,11 +932,6 @@ impl Kernel {
                 state: t.state,
             })
             .collect()
-    }
-
-    /// Task name (diagnostics).
-    pub fn task_name(&self, tid: TaskId) -> &str {
-        &self.tasks[tid.0].name
     }
 
     /// Number of spawned tasks (including exited).
@@ -987,11 +968,6 @@ impl Kernel {
     /// True when every task has exited.
     pub fn all_exited(&self) -> bool {
         self.tasks.iter().all(|t| t.state == TaskState::Exited)
-    }
-
-    /// Count of runnable tasks queued on `cpu`.
-    pub fn n_runnable(&self, cpu: CpuId) -> usize {
-        self.rqs[cpu.0].len()
     }
 
     /// (up, down) HMP migration counts so far.

@@ -123,13 +123,6 @@ impl WorkProfile {
         }
     }
 
-    /// Returns the profile with a different switching-activity factor.
-    pub fn with_energy_intensity(mut self, k: f64) -> Self {
-        debug_assert!(k > 0.0, "energy intensity must be positive");
-        self.energy_intensity = k;
-        self
-    }
-
     /// Base CPI on the given core kind (no memory component).
     pub fn base_cpi(&self, kind: CoreKind) -> f64 {
         match kind {

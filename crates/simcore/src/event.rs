@@ -4,83 +4,49 @@
 //! simultaneous events pop in the order they were scheduled. This makes the
 //! whole simulation reproducible regardless of queue-internal tie breaking.
 //!
-//! Internally the queue is a bucketed *calendar queue* (Brown, CACM 1988)
-//! over an **arena**: every pending event lives in one contiguous slab of
-//! slots, and each fixed-width time bucket ("day") is an intrusive singly
-//! linked list threaded through that slab. Scheduling pops a slot off the
-//! free list and prepends it to its day; popping unlinks it back. The
-//! periodic near-horizon traffic that dominates a simulation — scheduler
-//! ticks, governor samples, wake timers a few milliseconds out — lands in
-//! the first day or two of the scan, making schedule/pop O(1) amortized
-//! where a binary heap pays O(log n) per operation, with zero steady-state
-//! allocation (the slab only grows at peak occupancy) and a clone that is a
-//! handful of `memcpy`s — which is what makes simulation snapshots cheap.
-//! Events more than a full calendar year ahead are found by a direct search
-//! fallback, so correctness never depends on the bucket geometry.
+//! The queue is a [`BinaryHeap`] of entries ordered min-first by
+//! `(time, seq)`. Sequence numbers are unique, so that order is total: the
+//! pop order, and every sequence number handed out, depend only on the
+//! calls made, never on the heap's internal layout.
+
+use std::cmp::Ordering;
+use std::collections::BinaryHeap;
 
 use crate::time::SimTime;
 
-/// Bucket width exponent: one day is `2^BUCKET_SHIFT` ns ≈ 4.2 ms, on the
-/// order of the scheduler tick so consecutive ticks land in adjacent days.
-const BUCKET_SHIFT: u32 = 22;
-
-/// Starting day count; the year is `INITIAL_BUCKETS * 2^BUCKET_SHIFT` ≈
-/// 270 ms wide, comfortably past every periodic event's horizon.
-const INITIAL_BUCKETS: usize = 64;
-
-/// Upper bound on the day count when growing.
-const MAX_BUCKETS: usize = 1024;
-
-/// Grow the calendar when the average day holds more than this many events.
-const GROW_OCCUPANCY: usize = 4;
-
-/// Sentinel arena index: end of a bucket list / empty free list.
-const NIL: u32 = u32::MAX;
-
 /// One pending event with its firing time and tie-breaking sequence number.
-///
-/// Returned by [`EventQueue::pop_entry`] so callers can stash an entry and
-/// later [`EventQueue::restore`] it with its ordering intact, or
-/// [`EventQueue::reschedule_entry`] it as if it had fired and been
-/// re-scheduled.
 #[derive(Debug, Clone)]
-pub struct QueueEntry<E> {
+struct QueueEntry<E> {
     time: SimTime,
     seq: u64,
     event: E,
 }
 
 impl<E> QueueEntry<E> {
-    /// When the entry fires.
-    pub fn time(&self) -> SimTime {
-        self.time
-    }
-
-    /// Insertion sequence number — the FIFO tie-breaker among equal times.
-    pub fn seq(&self) -> u64 {
-        self.seq
-    }
-
-    /// The carried event.
-    pub fn event(&self) -> &E {
-        &self.event
-    }
-
-    /// Consumes the entry into its firing time and event.
-    pub fn into_parts(self) -> (SimTime, E) {
-        (self.time, self.event)
+    fn key(&self) -> (SimTime, u64) {
+        (self.time, self.seq)
     }
 }
 
-/// One arena slot: an event with its intrusive list link. A vacant slot
-/// (`event == None`) threads its `next` through the free list instead.
-#[derive(Debug, Clone)]
-struct Slot<E> {
-    time: SimTime,
-    seq: u64,
-    /// Next slot of the same day (occupied) or next free slot (vacant).
-    next: u32,
-    event: Option<E>,
+impl<E> PartialEq for QueueEntry<E> {
+    fn eq(&self, other: &Self) -> bool {
+        self.key() == other.key()
+    }
+}
+
+impl<E> Eq for QueueEntry<E> {}
+
+impl<E> PartialOrd for QueueEntry<E> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl<E> Ord for QueueEntry<E> {
+    /// Reversed, so the max-heap's top is the earliest `(time, seq)`.
+    fn cmp(&self, other: &Self) -> Ordering {
+        other.key().cmp(&self.key())
+    }
 }
 
 /// A time-ordered queue of simulation events.
@@ -100,42 +66,16 @@ struct Slot<E> {
 /// ```
 #[derive(Debug, Clone)]
 pub struct EventQueue<E> {
-    /// The arena. Occupied slots belong to exactly one day's list; vacant
-    /// slots form the free list.
-    slots: Vec<Slot<E>>,
-    /// Head of the free list (`NIL` when the slab is fully occupied).
-    free_head: u32,
-    /// `bucket_heads[day % len]` heads that day's intrusive list; days from
-    /// different years share a slot and are told apart by the entry's own
-    /// time.
-    bucket_heads: Vec<u32>,
-    len: usize,
+    heap: BinaryHeap<QueueEntry<E>>,
     next_seq: u64,
-    /// Lower bound on every pending entry's time (the last popped time,
-    /// lowered by out-of-order inserts). Scans start at its day.
-    floor: SimTime,
-}
-
-/// Where `find_min` located the minimum entry: its day list and the
-/// predecessor needed to unlink it in O(1).
-#[derive(Clone, Copy)]
-struct Loc {
-    bucket: usize,
-    /// Predecessor within the bucket list, `NIL` when `idx` is the head.
-    prev: u32,
-    idx: u32,
 }
 
 impl<E> EventQueue<E> {
     /// Creates an empty queue.
     pub fn new() -> Self {
         EventQueue {
-            slots: Vec::new(),
-            free_head: NIL,
-            bucket_heads: vec![NIL; INITIAL_BUCKETS],
-            len: 0,
+            heap: BinaryHeap::new(),
             next_seq: 0,
-            floor: SimTime::ZERO,
         }
     }
 
@@ -143,61 +83,32 @@ impl<E> EventQueue<E> {
     pub fn schedule(&mut self, time: SimTime, event: E) {
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.insert(QueueEntry { time, seq, event });
-    }
-
-    /// Puts back an entry previously removed with [`EventQueue::pop_entry`],
-    /// keeping its original time and sequence number (and therefore its
-    /// place in the ordering).
-    pub fn restore(&mut self, entry: QueueEntry<E>) {
-        self.insert(entry);
-    }
-
-    /// Re-arms a removed entry at `time` with a *fresh* sequence number, as
-    /// if it had just been scheduled — exactly what firing a periodic event
-    /// and re-scheduling it would produce. The entry still has to be
-    /// [`EventQueue::restore`]d to become pending again.
-    pub fn reschedule_entry(&mut self, entry: &mut QueueEntry<E>, time: SimTime) {
-        entry.time = time;
-        entry.seq = self.next_seq;
-        self.next_seq += 1;
+        self.heap.push(QueueEntry { time, seq, event });
     }
 
     /// The time of the earliest pending event, if any.
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.find_min().map(|loc| self.slots[loc.idx as usize].time)
+        self.heap.peek().map(|e| e.time)
     }
 
     /// The earliest pending entry's (time, seq, event), if any.
     pub fn peek(&self) -> Option<(SimTime, u64, &E)> {
-        self.find_min().map(|loc| {
-            let s = &self.slots[loc.idx as usize];
-            (s.time, s.seq, s.event.as_ref().expect("occupied slot"))
-        })
+        self.heap.peek().map(|e| (e.time, e.seq, &e.event))
     }
 
     /// Removes and returns the earliest event with its firing time.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        self.pop_entry().map(QueueEntry::into_parts)
-    }
-
-    /// Removes and returns the earliest entry whole (time, sequence number
-    /// and event), for callers that may restore or reschedule it.
-    pub fn pop_entry(&mut self) -> Option<QueueEntry<E>> {
-        let loc = self.find_min()?;
-        let entry = self.unlink(loc);
-        self.floor = entry.time;
-        Some(entry)
+        self.heap.pop().map(|e| (e.time, e.event))
     }
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.len
+        self.heap.len()
     }
 
     /// Returns true if no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.heap.is_empty()
     }
 
     /// The next sequence number the queue will hand out. Part of the
@@ -208,17 +119,16 @@ impl<E> EventQueue<E> {
         self.next_seq
     }
 
+    /// Every pending entry as `(time, seq, &event)`, in no particular
+    /// order.
+    pub fn iter(&self) -> impl Iterator<Item = (SimTime, u64, &E)> {
+        self.heap.iter().map(|e| (e.time, e.seq, &e.event))
+    }
+
     /// Every pending entry as `(time, seq, &event)` in firing order — the
-    /// serialization view of the queue. Entries are sorted by `(time, seq)`
-    /// so the on-disk representation is independent of the arena's slab
-    /// layout and free-list history, which differ between a live queue and
-    /// one rebuilt from parts even when their pop behavior is identical.
+    /// serialization view of the queue, independent of the heap's layout.
     pub fn sorted_entries(&self) -> Vec<(SimTime, u64, &E)> {
-        let mut out: Vec<(SimTime, u64, &E)> = self
-            .slots
-            .iter()
-            .filter_map(|s| s.event.as_ref().map(|e| (s.time, s.seq, e)))
-            .collect();
+        let mut out: Vec<(SimTime, u64, &E)> = self.iter().collect();
         out.sort_by_key(|&(t, seq, _)| (t, seq));
         out
     }
@@ -226,178 +136,16 @@ impl<E> EventQueue<E> {
     /// Rebuilds a queue from pending entries and the sequence counter, the
     /// inverse of [`EventQueue::sorted_entries`]. The restored queue pops
     /// in the identical order and hands out the identical future sequence
-    /// numbers as the queue the entries came from: ordering is carried
-    /// entirely by each entry's `(time, seq)` pair, so the internal bucket
-    /// geometry is free to differ.
+    /// numbers as the queue the entries came from, because ordering is
+    /// carried entirely by each entry's `(time, seq)` pair.
     pub fn from_parts(entries: Vec<(SimTime, u64, E)>, next_seq: u64) -> Self {
-        let mut q = EventQueue::new();
-        q.next_seq = next_seq;
-        // Start the scan floor at the earliest pending time (the tightest
-        // valid lower bound); `insert` only ever lowers it further.
-        q.floor = entries.iter().map(|e| e.0).min().unwrap_or(SimTime::ZERO);
-        for (time, seq, event) in entries {
-            q.insert(QueueEntry { time, seq, event });
+        EventQueue {
+            heap: entries
+                .into_iter()
+                .map(|(time, seq, event)| QueueEntry { time, seq, event })
+                .collect(),
+            next_seq,
         }
-        q
-    }
-
-    /// Removes all pending events.
-    pub fn clear(&mut self) {
-        self.slots.clear();
-        self.free_head = NIL;
-        for h in &mut self.bucket_heads {
-            *h = NIL;
-        }
-        self.len = 0;
-    }
-
-    fn slot_of(&self, time: SimTime) -> usize {
-        ((time.as_nanos() >> BUCKET_SHIFT) % self.bucket_heads.len() as u64) as usize
-    }
-
-    fn insert(&mut self, entry: QueueEntry<E>) {
-        if self.len >= GROW_OCCUPANCY * self.bucket_heads.len()
-            && self.bucket_heads.len() < MAX_BUCKETS
-        {
-            let new_n = (self.bucket_heads.len() * 2).min(MAX_BUCKETS);
-            self.rebuild_buckets(new_n);
-        }
-        if entry.time < self.floor {
-            self.floor = entry.time;
-        }
-        let bucket = self.slot_of(entry.time);
-        let idx = match self.free_head {
-            NIL => {
-                assert!(self.slots.len() < NIL as usize, "event arena full");
-                self.slots.push(Slot {
-                    time: entry.time,
-                    seq: entry.seq,
-                    next: NIL,
-                    event: Some(entry.event),
-                });
-                (self.slots.len() - 1) as u32
-            }
-            free => {
-                self.free_head = self.slots[free as usize].next;
-                let s = &mut self.slots[free as usize];
-                s.time = entry.time;
-                s.seq = entry.seq;
-                s.event = Some(entry.event);
-                free
-            }
-        };
-        self.slots[idx as usize].next = self.bucket_heads[bucket];
-        self.bucket_heads[bucket] = idx;
-        self.len += 1;
-    }
-
-    /// Unlinks an occupied slot from its day list and returns the entry;
-    /// the slot joins the free list.
-    fn unlink(&mut self, loc: Loc) -> QueueEntry<E> {
-        let next = self.slots[loc.idx as usize].next;
-        if loc.prev == NIL {
-            self.bucket_heads[loc.bucket] = next;
-        } else {
-            self.slots[loc.prev as usize].next = next;
-        }
-        let slot = &mut self.slots[loc.idx as usize];
-        let event = slot.event.take().expect("unlink of vacant slot");
-        let entry = QueueEntry {
-            time: slot.time,
-            seq: slot.seq,
-            event,
-        };
-        slot.next = self.free_head;
-        self.free_head = loc.idx;
-        self.len -= 1;
-        entry
-    }
-
-    /// Re-threads every occupied slot into `new_n` day lists. The free
-    /// list is untouched (vacant slots are skipped).
-    fn rebuild_buckets(&mut self, new_n: usize) {
-        self.bucket_heads.clear();
-        self.bucket_heads.resize(new_n, NIL);
-        for i in 0..self.slots.len() {
-            if self.slots[i].event.is_some() {
-                let bucket = self.slot_of(self.slots[i].time);
-                self.slots[i].next = self.bucket_heads[bucket];
-                self.bucket_heads[bucket] = i as u32;
-            }
-        }
-    }
-
-    /// Locates the minimum (time, seq) entry.
-    ///
-    /// Scans day by day from the floor: within one calendar year, the first
-    /// day owning any entry owns the global minimum time (days are visited
-    /// in time order and a day's events all live in one list). If a full
-    /// year is empty, every pending event is at least a year away and a
-    /// direct search across all lists finds it. Min-selection inspects
-    /// every same-day entry, so the arbitrary (prepend) order within a list
-    /// never influences the result.
-    fn find_min(&self) -> Option<Loc> {
-        if self.len == 0 {
-            return None;
-        }
-        let n = self.bucket_heads.len() as u64;
-        let start_day = self.floor.as_nanos() >> BUCKET_SHIFT;
-        for i in 0..n {
-            let day = start_day + i;
-            let bucket = (day % n) as usize;
-            let mut cur = self.bucket_heads[bucket];
-            if cur == NIL {
-                continue;
-            }
-            let mut best: Option<(u32, u32)> = None; // (prev, idx)
-            let mut prev = NIL;
-            while cur != NIL {
-                let s = &self.slots[cur as usize];
-                if s.time.as_nanos() >> BUCKET_SHIFT == day {
-                    let better = match best {
-                        Some((_, b)) => {
-                            let bs = &self.slots[b as usize];
-                            (s.time, s.seq) < (bs.time, bs.seq)
-                        }
-                        None => true,
-                    };
-                    if better {
-                        best = Some((prev, cur));
-                    }
-                }
-                prev = cur;
-                cur = s.next;
-            }
-            if let Some((prev, idx)) = best {
-                return Some(Loc { bucket, prev, idx });
-            }
-        }
-        // Direct-search fallback: nothing within a year of the floor.
-        let mut best: Option<Loc> = None;
-        for (bucket, &head) in self.bucket_heads.iter().enumerate() {
-            let mut prev = NIL;
-            let mut cur = head;
-            while cur != NIL {
-                let s = &self.slots[cur as usize];
-                let better = match &best {
-                    Some(loc) => {
-                        let b = &self.slots[loc.idx as usize];
-                        (s.time, s.seq) < (b.time, b.seq)
-                    }
-                    None => true,
-                };
-                if better {
-                    best = Some(Loc {
-                        bucket,
-                        prev,
-                        idx: cur,
-                    });
-                }
-                prev = cur;
-                cur = s.next;
-            }
-        }
-        best
     }
 }
 
@@ -437,57 +185,12 @@ mod tests {
         let mut q = EventQueue::new();
         q.schedule(SimTime::from_millis(1), "x");
         assert_eq!(q.peek_time(), Some(SimTime::from_millis(1)));
+        assert_eq!(q.peek(), Some((SimTime::from_millis(1), 0, &"x")));
         assert_eq!(q.len(), 1);
         assert!(!q.is_empty());
-        q.clear();
+        q.pop();
         assert!(q.is_empty());
         assert_eq!(q.peek_time(), None);
-    }
-
-    #[test]
-    fn far_future_events_use_the_fallback_path() {
-        let mut q = EventQueue::new();
-        // Hours away: far beyond one calendar year of buckets.
-        q.schedule(SimTime::from_secs(7200), 'b');
-        q.schedule(SimTime::from_secs(3600), 'a');
-        assert_eq!(q.peek_time(), Some(SimTime::from_secs(3600)));
-        assert_eq!(q.pop(), Some((SimTime::from_secs(3600), 'a')));
-        assert_eq!(q.pop(), Some((SimTime::from_secs(7200), 'b')));
-    }
-
-    #[test]
-    fn growth_preserves_every_entry() {
-        let mut q = EventQueue::new();
-        let n = 4 * INITIAL_BUCKETS * GROW_OCCUPANCY; // forces several grows
-        for i in 0..n {
-            q.schedule(SimTime::from_nanos((i as u64 * 7919) % 1_000_000_000), i);
-        }
-        assert_eq!(q.len(), n);
-        let mut last = SimTime::ZERO;
-        let mut popped = 0;
-        while let Some((t, _)) = q.pop() {
-            assert!(t >= last);
-            last = t;
-            popped += 1;
-        }
-        assert_eq!(popped, n);
-    }
-
-    #[test]
-    fn slots_are_reused_at_steady_state() {
-        let mut q = EventQueue::new();
-        for i in 0..8 {
-            q.schedule(SimTime::from_millis(i), i);
-        }
-        let peak = q.slots.len();
-        // A long schedule/pop ping-pong at constant occupancy must not
-        // grow the arena: every pop frees the slot the next schedule takes.
-        for i in 8..10_000 {
-            q.pop().unwrap();
-            q.schedule(SimTime::from_millis(i), i);
-        }
-        assert_eq!(q.slots.len(), peak, "arena grew at steady state");
-        assert_eq!(q.len(), 8);
     }
 
     #[test]
@@ -506,23 +209,6 @@ mod tests {
         assert_eq!(a, b);
         // ...and identical sequence state afterwards.
         assert_eq!(fork.seq_state(), q.seq_state());
-    }
-
-    #[test]
-    fn restore_keeps_ordering_and_seq() {
-        let mut q = EventQueue::new();
-        q.schedule(SimTime::from_millis(1), 'a');
-        q.schedule(SimTime::from_millis(1), 'b');
-        q.schedule(SimTime::from_millis(2), 'c');
-        let a = q.pop_entry().unwrap();
-        assert_eq!((a.time(), *a.event()), (SimTime::from_millis(1), 'a'));
-        let b = q.pop_entry().unwrap();
-        // Restore out of order: the original seqs still tie-break FIFO.
-        q.restore(b);
-        q.restore(a);
-        assert_eq!(q.pop(), Some((SimTime::from_millis(1), 'a')));
-        assert_eq!(q.pop(), Some((SimTime::from_millis(1), 'b')));
-        assert_eq!(q.pop(), Some((SimTime::from_millis(2), 'c')));
     }
 
     #[test]
@@ -547,17 +233,12 @@ mod tests {
         assert_eq!(rebuilt.seq_state(), q.seq_state());
         // Identical pop order and identical future scheduling behavior.
         loop {
-            let (a, b) = (q.pop_entry(), rebuilt.pop_entry());
-            match (a, b) {
-                (None, None) => break,
-                (Some(x), Some(y)) => {
-                    assert_eq!(
-                        (x.time(), x.seq(), *x.event()),
-                        (y.time(), y.seq(), *y.event())
-                    );
-                }
-                _ => panic!("length mismatch"),
+            let a = q.peek().map(|(t, s, e)| (t, s, *e));
+            assert_eq!(a, rebuilt.peek().map(|(t, s, e)| (t, s, *e)));
+            if a.is_none() {
+                break;
             }
+            assert_eq!(q.pop(), rebuilt.pop());
         }
         q.schedule(SimTime::from_millis(1), 999);
         rebuilt.schedule(SimTime::from_millis(1), 999);
@@ -565,20 +246,6 @@ mod tests {
             q.peek().map(|(t, s, _)| (t, s)),
             rebuilt.peek().map(|(t, s, _)| (t, s))
         );
-    }
-
-    #[test]
-    fn reschedule_assigns_a_fresh_seq() {
-        let mut q = EventQueue::new();
-        q.schedule(SimTime::from_millis(4), "tick");
-        let mut tick = q.pop_entry().unwrap();
-        q.reschedule_entry(&mut tick, SimTime::from_millis(8));
-        // A later schedule at the same time must fire after the
-        // rescheduled tick (the tick "fired and re-armed" first).
-        q.restore(tick);
-        q.schedule(SimTime::from_millis(8), "timer");
-        assert_eq!(q.pop(), Some((SimTime::from_millis(8), "tick")));
-        assert_eq!(q.pop(), Some((SimTime::from_millis(8), "timer")));
     }
 
     /// Reference model: a stably sorted vector, the ordering contract in
@@ -607,6 +274,29 @@ mod tests {
         }
     }
 
+    /// One step of the model-checked op sequence.
+    #[derive(Debug, Clone)]
+    enum Op {
+        Schedule(u64),
+        Pop,
+        /// Rebuild the queue from its serialization view.
+        Rebuild,
+    }
+
+    fn op() -> impl Strategy<Value = Op> {
+        (0u8..14, 0u64..200_000_000, 0u64..36_000_000_000_000).prop_map(|(kind, near, far)| {
+            match kind {
+                // Ties on a 4 ms tick grid, near-horizon traffic (a few
+                // hundred ms) and far-future events hours out.
+                0..=2 => Op::Schedule(near % 8 * 4_000_000),
+                3..=6 => Op::Schedule(near),
+                7 => Op::Schedule(far),
+                8..=12 => Op::Pop,
+                _ => Op::Rebuild,
+            }
+        })
+    }
+
     proptest! {
         #[test]
         fn pops_in_nondecreasing_time_order(times in proptest::collection::vec(0u64..1_000_000, 1..200)) {
@@ -631,30 +321,39 @@ mod tests {
             prop_assert_eq!(order, (0..n).collect::<Vec<_>>());
         }
 
-        // Interleaved schedule/pop matches the sorted-vector model exactly,
-        // including FIFO tie-breaking — the BinaryHeap-replacement contract.
+        // Interleaved schedule/pop/rebuild matches the sorted-vector model
+        // exactly, including FIFO tie-breaking and sequence numbering, over
+        // times from 0 ns to hours and runs of a few thousand ops.
         #[test]
-        fn matches_reference_model(
-            // Some(t) = schedule at t ns, None = pop.
-            ops in proptest::collection::vec(
-                proptest::option::of(0u64..200_000_000u64),
-                1..300,
-            )
-        ) {
+        fn matches_reference_model(ops in proptest::collection::vec(op(), 1..4000)) {
             let mut q = EventQueue::new();
             let mut m = Model::default();
             for (i, op) in ops.into_iter().enumerate() {
                 match op {
-                    Some(t) => {
+                    Op::Schedule(t) => {
                         q.schedule(SimTime::from_nanos(t), i);
                         m.schedule(SimTime::from_nanos(t), i);
                     }
-                    None => {
-                        prop_assert_eq!(q.peek_time(), m.entries.iter().map(|e| e.0).min());
+                    Op::Pop => {
+                        let head = m.entries.iter().map(|e| (e.0, e.1)).min();
+                        prop_assert_eq!(q.peek().map(|(t, s, _)| (t, s)), head);
+                        prop_assert_eq!(q.peek_time(), head.map(|h| h.0));
                         prop_assert_eq!(q.pop(), m.pop());
+                    }
+                    Op::Rebuild => {
+                        let parts = q
+                            .sorted_entries()
+                            .into_iter()
+                            .map(|(t, s, e)| (t, s, *e))
+                            .collect::<Vec<_>>();
+                        let mut expect = m.entries.clone();
+                        expect.sort_by_key(|e| (e.0, e.1));
+                        prop_assert_eq!(&parts, &expect);
+                        q = EventQueue::from_parts(parts, q.seq_state());
                     }
                 }
                 prop_assert_eq!(q.len(), m.entries.len());
+                prop_assert_eq!(q.seq_state(), m.next_seq);
             }
             while let Some(expect) = m.pop() {
                 prop_assert_eq!(q.pop(), Some(expect));

@@ -3,8 +3,8 @@
 //! Foundation crate for the `biglittle` asymmetric-multicore simulator:
 //! simulated time, a deterministic discrete-event queue, a seedable RNG with
 //! the distribution helpers the workload models need, and the statistics
-//! accumulators used by the measurement layer (histograms, time-weighted
-//! means, online moments, time series).
+//! accumulators used by the measurement layer (weighted histograms,
+//! time-weighted means, time series).
 //!
 //! Everything in this crate is deterministic: given the same seed and the
 //! same sequence of calls, results are bit-for-bit identical across runs and

@@ -243,11 +243,6 @@ impl SimRng {
         SimDuration::from_secs_f64(self.exponential(mean.as_secs_f64()))
     }
 
-    /// Log-normally distributed duration with the given median and shape.
-    pub fn lognormal_duration(&mut self, median: SimDuration, sigma: f64) -> SimDuration {
-        SimDuration::from_secs_f64(self.lognormal(median.as_secs_f64(), sigma))
-    }
-
     /// Uniform duration in `[lo, hi)`.
     pub fn uniform_duration(&mut self, lo: SimDuration, hi: SimDuration) -> SimDuration {
         SimDuration::from_secs_f64(self.uniform(lo.as_secs_f64(), hi.as_secs_f64()))

@@ -1,111 +1,4 @@
-//! Fixed-bin histograms, plain and weighted.
-
-/// A histogram over `[lo, hi)` with equally sized bins plus underflow and
-/// overflow counters.
-///
-/// ```
-/// use bl_simcore::stats::Histogram;
-/// let mut h = Histogram::new(0.0, 10.0, 5);
-/// h.record(1.0);
-/// h.record(9.9);
-/// h.record(42.0); // overflow
-/// assert_eq!(h.count(), 3);
-/// assert_eq!(h.bin_count(0), 1);
-/// assert_eq!(h.overflow(), 1);
-/// ```
-#[derive(Debug, Clone)]
-pub struct Histogram {
-    lo: f64,
-    hi: f64,
-    bins: Vec<u64>,
-    underflow: u64,
-    overflow: u64,
-}
-
-impl Histogram {
-    /// Creates a histogram over `[lo, hi)` with `n_bins` equal bins.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lo >= hi` or `n_bins == 0`.
-    pub fn new(lo: f64, hi: f64, n_bins: usize) -> Self {
-        assert!(lo < hi, "Histogram: lo must be < hi");
-        assert!(n_bins > 0, "Histogram: need at least one bin");
-        Histogram {
-            lo,
-            hi,
-            bins: vec![0; n_bins],
-            underflow: 0,
-            overflow: 0,
-        }
-    }
-
-    /// Records one observation.
-    pub fn record(&mut self, x: f64) {
-        if x < self.lo {
-            self.underflow += 1;
-        } else if x >= self.hi {
-            self.overflow += 1;
-        } else {
-            let idx = ((x - self.lo) / (self.hi - self.lo) * self.bins.len() as f64) as usize;
-            let idx = idx.min(self.bins.len() - 1);
-            self.bins[idx] += 1;
-        }
-    }
-
-    /// Total number of observations including under/overflow.
-    pub fn count(&self) -> u64 {
-        self.bins.iter().sum::<u64>() + self.underflow + self.overflow
-    }
-
-    /// Count in bin `i`.
-    pub fn bin_count(&self, i: usize) -> u64 {
-        self.bins[i]
-    }
-
-    /// Number of bins.
-    pub fn n_bins(&self) -> usize {
-        self.bins.len()
-    }
-
-    /// Observations below `lo`.
-    pub fn underflow(&self) -> u64 {
-        self.underflow
-    }
-
-    /// Observations at or above `hi`.
-    pub fn overflow(&self) -> u64 {
-        self.overflow
-    }
-
-    /// The `[lo, hi)` bounds of bin `i`.
-    pub fn bin_bounds(&self, i: usize) -> (f64, f64) {
-        let w = (self.hi - self.lo) / self.bins.len() as f64;
-        (self.lo + w * i as f64, self.lo + w * (i + 1) as f64)
-    }
-
-    /// Approximate quantile `q` in `[0,1]` using bin midpoints; `None` if
-    /// empty. Under/overflow observations are clamped to the bounds.
-    pub fn quantile(&self, q: f64) -> Option<f64> {
-        let total = self.count();
-        if total == 0 {
-            return None;
-        }
-        let target = (q.clamp(0.0, 1.0) * total as f64).ceil().max(1.0) as u64;
-        let mut cum = self.underflow;
-        if cum >= target {
-            return Some(self.lo);
-        }
-        for i in 0..self.bins.len() {
-            cum += self.bins[i];
-            if cum >= target {
-                let (a, b) = self.bin_bounds(i);
-                return Some((a + b) / 2.0);
-            }
-        }
-        Some(self.hi)
-    }
-}
+//! A weighted histogram over fixed buckets.
 
 /// A histogram over a fixed set of named buckets where each record carries a
 /// weight (e.g. time spent at a frequency step).
@@ -179,48 +72,6 @@ impl WeightedHistogram {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
-
-    #[test]
-    fn records_land_in_correct_bins() {
-        let mut h = Histogram::new(0.0, 10.0, 10);
-        h.record(0.0);
-        h.record(0.99);
-        h.record(5.0);
-        h.record(9.999);
-        assert_eq!(h.bin_count(0), 2);
-        assert_eq!(h.bin_count(5), 1);
-        assert_eq!(h.bin_count(9), 1);
-    }
-
-    #[test]
-    fn under_and_overflow() {
-        let mut h = Histogram::new(0.0, 1.0, 4);
-        h.record(-0.1);
-        h.record(1.0);
-        h.record(2.0);
-        assert_eq!(h.underflow(), 1);
-        assert_eq!(h.overflow(), 2);
-        assert_eq!(h.count(), 3);
-    }
-
-    #[test]
-    fn bin_bounds_cover_range() {
-        let h = Histogram::new(2.0, 6.0, 4);
-        assert_eq!(h.bin_bounds(0), (2.0, 3.0));
-        assert_eq!(h.bin_bounds(3), (5.0, 6.0));
-    }
-
-    #[test]
-    fn quantile_median() {
-        let mut h = Histogram::new(0.0, 100.0, 100);
-        for i in 0..100 {
-            h.record(i as f64 + 0.5);
-        }
-        let med = h.quantile(0.5).unwrap();
-        assert!((med - 50.0).abs() <= 1.0, "median = {med}");
-        assert_eq!(Histogram::new(0.0, 1.0, 2).quantile(0.5), None);
-    }
 
     #[test]
     fn weighted_shares_sum_to_one() {
@@ -240,25 +91,5 @@ mod tests {
         assert_eq!(h.shares(), vec![0.0; 3]);
         assert_eq!(h.share(0), 0.0);
         assert_eq!(h.total(), 0.0);
-    }
-
-    proptest! {
-        #[test]
-        fn count_matches_records(xs in proptest::collection::vec(-10.0f64..20.0, 0..500)) {
-            let mut h = Histogram::new(0.0, 10.0, 7);
-            for x in &xs {
-                h.record(*x);
-            }
-            prop_assert_eq!(h.count(), xs.len() as u64);
-        }
-
-        #[test]
-        fn in_range_records_hit_exactly_one_bin(x in 0.0f64..10.0) {
-            let mut h = Histogram::new(0.0, 10.0, 13);
-            h.record(x);
-            let binned: u64 = (0..h.n_bins()).map(|i| h.bin_count(i)).sum();
-            prop_assert_eq!(binned, 1);
-            prop_assert_eq!(h.underflow() + h.overflow(), 0);
-        }
     }
 }

@@ -1,11 +1,9 @@
 //! Statistics accumulators used by the measurement layer.
 
 pub mod histogram;
-pub mod online;
 pub mod series;
 pub mod timeweighted;
 
-pub use histogram::{Histogram, WeightedHistogram};
-pub use online::OnlineStats;
+pub use histogram::WeightedHistogram;
 pub use series::TimeSeries;
 pub use timeweighted::TimeWeightedMean;

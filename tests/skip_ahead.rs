@@ -73,6 +73,10 @@ fn pure_idle_run_is_bit_identical_under_every_governor() {
             sim.finish()
         });
         assert_eq!(on.tlp.idle_pct, 100.0);
+        // The whole 2 s is elided except the tick, metric sample and two
+        // governor samples due at the deadline itself: the skip leaves an
+        // event tied with its horizon queued, and the loop fires it.
+        assert_eq!(on.events_processed, 4, "governor {g:?}");
         assert_eq!(
             observable_bytes(on),
             observable_bytes(off),
@@ -84,17 +88,20 @@ fn pure_idle_run_is_bit_identical_under_every_governor() {
 #[test]
 fn idle_heavy_app_is_bit_identical() {
     // The timer-fragmented Browser, a user-paced app whose gaps no timer
-    // bounds, and a TLP-heavy game that leaves the skip path no room.
-    for (app, secs, idle_gaps) in [
-        (app_by_name("Browser").unwrap(), 5, true),
-        (interactive_idle_heavy(), 5, true),
-        (app_by_name("Angry Bird").unwrap(), 1, false),
+    // bounds, and a TLP-heavy game that leaves the skip path no room. The
+    // skip-on event counts are pinned: they move if the skip fires one
+    // event too many or too few, which the zeroed bytes below cannot see.
+    for (app, secs, idle_gaps, events_on) in [
+        (app_by_name("Browser").unwrap(), 5, true, 1298),
+        (interactive_idle_heavy(), 5, true, 93),
+        (app_by_name("Angry Bird").unwrap(), 1, false, 534),
     ] {
         let (on, off) = run_pair(&SystemConfig::baseline(), |sim| {
             sim.spawn_app(&app);
             sim.try_run_until(SimTime::from_secs(secs)).unwrap();
             sim.finish()
         });
+        assert_eq!(on.events_processed, events_on, "{}", app.name);
         if idle_gaps {
             assert!(on.tlp.idle_pct > 0.0, "{} should leave idle gaps", app.name);
             assert!(
